@@ -76,6 +76,7 @@ import json
 import os
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -272,6 +273,9 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     declared = json.loads(spec_path.read_text())
 
+    # A terminated run still stops the servers it started and removes its
+    # state: SIGTERM unwinds through the ``finally`` blocks.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     tmp = ROOT / ".perfbench-tmp" / f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
     tmp.mkdir(parents=True)
     try:

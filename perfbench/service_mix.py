@@ -165,7 +165,7 @@ class LoadGenerator:
     def run(self) -> None:
         self.t0 = time.perf_counter() + 0.05
         self.window_end = self.t0 + self.window
-        threads = [threading.Thread(target=self._worker) for _ in range(CLIENT_THREADS)]
+        threads = [threading.Thread(target=self._worker, daemon=True) for _ in range(CLIENT_THREADS)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -295,7 +295,7 @@ def _warm_pass(client, specs) -> list[str]:
                 with lock:
                     problems.append(f"warm resubmission not cached: {spec}")
 
-    threads = [threading.Thread(target=worker) for _ in range(CLIENT_THREADS)]
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(CLIENT_THREADS)]
     for thread in threads:
         thread.start()
     for thread in threads:

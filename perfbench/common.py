@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import importlib
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -20,10 +21,11 @@ ROOT = BENCH_DIR.parent
 #: Fresh-process start-to-ready samples per run; ``setup_s`` is their median.
 SETUP_SAMPLES = 3
 #: Cold and warm passes per untraced run, at the least. Passes of one kind
-#: repeat identical work, and ``wall_s`` and ``warm_wall_s`` report the
-#: fastest: bursts of load from other tenants of the host only ever add
-#: time, and the fastest of several short passes is the one they missed.
-COLD_PASSES = 5
+#: repeat identical work; ``cpu_s`` is the median of the cold passes' CPU
+#: seconds, and ``wall_s`` and ``warm_wall_s`` report the fastest: bursts
+#: of load from other tenants of the host only ever add wall time, and the
+#: fastest of several short passes is the one they missed.
+COLD_PASSES = 7
 WARM_PASSES = 5
 
 _ENGINE = (
@@ -58,6 +60,30 @@ PRELOAD = {
 def preload(kind: str) -> None:
     for module in PRELOAD[kind]:
         importlib.import_module(module)
+
+
+def tree_cpu_s(pid: int) -> float:
+    """CPU seconds of process ``pid`` and every descendant, alive or reaped."""
+    children: dict[int, list[int]] = {}
+    ticks: dict[int, int] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                # Fields after the parenthesised command name: state, ppid,
+                # ..., utime, stime, cutime, cstime at offsets 11 to 14.
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        children.setdefault(int(fields[1]), []).append(int(entry))
+        ticks[int(entry)] = sum(int(v) for v in fields[11:15])
+    total, todo = 0, [pid]
+    while todo:
+        current = todo.pop()
+        total += ticks.get(current, 0)
+        todo += children.get(current, [])
+    return total / os.sysconf("SC_CLK_TCK")
 
 
 @dataclass
@@ -100,9 +126,10 @@ class Context:
     def warm_passes(self, untraced: int = WARM_PASSES) -> int:
         return 1 if self.tracer else untraced
 
-    def timed(self, seconds: list[float], fn, *args):
-        """Run ``fn``, append the seconds it took to ``seconds`` and
-        return its result.
+    def timed(self, seconds: list[float], fn, *args, cpu: list[float] | None = None):
+        """Run ``fn``, append the seconds it took to ``seconds`` (and the
+        CPU seconds this process spent on it to ``cpu``) and return its
+        result.
 
         Each pass starts from a collected heap with everything alive so
         far frozen, so neither the garbage nor the retained results of
@@ -110,9 +137,11 @@ class Context:
         its time through the collector."""
         gc.collect()
         gc.freeze()
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         result = fn(*args)
         seconds.append(time.perf_counter() - start)
+        if cpu is not None:
+            cpu.append(time.process_time() - start_cpu)
         return result
 
     def setup_probe(self, kind: str, out: "Outcome") -> None:
@@ -140,6 +169,8 @@ class Outcome:
 
     #: Host seconds of each cold pass, warm pass and set-up.
     cold: list[float] = field(default_factory=list)
+    #: CPU seconds the program spent on each cold pass.
+    cold_cpu: list[float] = field(default_factory=list)
     warm: list[float] = field(default_factory=list)
     setup: list[float] = field(default_factory=list)
     attempted: int = 0
@@ -150,6 +181,10 @@ class Outcome:
     layer: dict[str, float] = field(default_factory=dict)
     #: Lines printed beside the metrics (paper values, caveats).
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def cpu_s(self) -> float:
+        return statistics.median(self.cold_cpu)
 
     @property
     def wall_s(self) -> float:

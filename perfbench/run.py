@@ -22,22 +22,28 @@ Every workload reports every end-to-end metric (``--trace 0``):
 
 - ``setup_s``: median over fresh processes of start-to-ready (imports
   plus a configured session; for the service, ``/healthz`` answering).
-- ``wall_s``: host time of a cold pass. Sweeps: plan to tables
-  assembled, into a fresh store with the program's in-process caches
-  cleared. Verify: the whole run, caches cleared. Service (one pass, an
-  open loop): first scheduled send until every cold spec's result is
-  confirmed, i.e. the offered window plus the drain.
+- ``cpu_s``: CPU seconds the program spends on a cold pass, the
+  median over the passes. Sweeps: plan to tables assembled, into a fresh
+  store with the program's in-process caches cleared. Verify: the whole
+  run, caches cleared. Both run single-threaded in this process
+  (``parallel=1``), so on an idle host this equals their wall time.
+  Service (one pass, an open loop): the CPU seconds of the server and its
+  worker processes from the first scheduled send until every cold spec's
+  result is confirmed, i.e. what serving the offered window costs.
 - ``peak_rss_mb``: peak resident memory of this process plus the largest
   peak among its children.
 
-``warm_wall_s`` is the host time of the same work again over the caches
-the cold passes filled. Sweeps: one re-run from a fresh session over a
-cold pass's store. Service: one round of resubmitting every distinct
-spec (all cache hits). Verify: the seeded run again in the same process.
-It is printed by name on every run and reported as a per-layer metric,
-not an end-to-end one: on a shared host its spread from run to run is
-too wide for a bound (tens of milliseconds of store reads and HTTP round
-trips, slowed up to 2x while other tenants load the host).
+``wall_s`` is the host time of the same cold pass (the fastest pass;
+for the service, the offered window plus the drain) and ``warm_wall_s``
+the host time of the same work again over the caches the cold passes
+filled. Sweeps: one re-run from a fresh session over a cold pass's store.
+Service: one round of resubmitting every distinct spec (all cache hits).
+Verify: the seeded run again in the same process. Both are printed by
+name on every run and reported as per-layer metrics, not end-to-end
+ones: on a shared host their spread from run to run is too wide for a
+bound. Other tenants take the host's cores for tens of seconds at a time
+and slow wall time up to 2x; CPU time counts only the time the program
+ran, so it moves far less.
 
 ``--seconds`` is the service's offered window; the other workloads keep
 adding warm passes until that long after their first cold pass began.
@@ -45,7 +51,7 @@ adding warm passes until that long after their first cold pass began.
 Passes of one kind repeat identical work, and each timed pass starts
 from a collected heap. Other tenants of a shared host only ever add time,
 so ``wall_s`` and ``warm_wall_s`` are the fastest pass, the one their
-bursts of load missed; ``setup_s`` is the median of its samples. Every
+bursts of load missed; ``setup_s`` and ``cpu_s`` are medians. Every
 pass is printed above the result line. Every benchmark process runs with
 ``PYTHONHASHSEED=0`` (see ``HASH_SEED``).
 
@@ -332,6 +338,7 @@ def _run(args, declared: dict, tmp: Path) -> int:
             (outcome.wall_s - reference_wall) / reference_wall * 100.0
         )
         values["error_rate"] = error_rate
+        values["wall_s"] = outcome.wall_s
         values["warm_wall_s"] = outcome.warm_wall_s
         values.update(outcome.layer)
         wanted = declared["per_layer"]
@@ -339,15 +346,17 @@ def _run(args, declared: dict, tmp: Path) -> int:
     else:
         values = {
             "setup_s": statistics.median(outcome.setup),
-            "wall_s": outcome.wall_s,
+            "cpu_s": outcome.cpu_s,
             "peak_rss_mb": peak_rss_mb(),
         }
         wanted = declared["end_to_end"]
         correct = not outcome.failures
         for label, passes in (
-            ("setup", outcome.setup), ("cold", outcome.cold), ("warm", outcome.warm)
+            ("setup", outcome.setup), ("cold", outcome.cold), ("cold CPU", outcome.cold_cpu),
+            ("warm", outcome.warm),
         ):
             print(f"{label} passes, s: " + " ".join(f"{v:.4f}" for v in passes))
+        print(f"wall_s: {outcome.wall_s:.6g} s")
         print(f"warm_wall_s: {outcome.warm_wall_s:.6g} s")
         print(f"error_rate: {error_rate:.6g} fraction "
               f"({len(outcome.failures)} of {outcome.attempted} checks failed)")

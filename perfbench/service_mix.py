@@ -26,7 +26,7 @@ import sys
 import threading
 import time
 
-from common import ROOT, Outcome
+from common import ROOT, Outcome, tree_cpu_s
 
 #: Offered load; with a 10 s window, 1000 hits and 200 cold specs, enough
 #: for p99 of hits and p95 of cold specs with 10 samples beyond each.
@@ -309,9 +309,10 @@ def _measure(ctx, server, items, out) -> LoadGenerator:
         job_id = server.client.submit(spec)["job_id"]
         server.client.wait(job_id)
     load = LoadGenerator(ctx, server.client, items, ctx.seconds)
-    start = time.perf_counter()
+    start, start_cpu = time.perf_counter(), tree_cpu_s(server.process.pid)
     load.run()
     out.cold = [time.perf_counter() - start]
+    out.cold_cpu = [tree_cpu_s(server.process.pid) - start_cpu]
     return load
 
 

@@ -2,10 +2,12 @@
 session, cold into a fresh store, then warm from fresh sessions.
 
 The scale is ``small`` cut down to two single-core workloads (comm2 and
-mummer, the paper's best cases) and one quad-core mix, with traces a
-quarter as long and seeded by the workload seed, so that a pass takes a
+mummer, the paper's best cases) and all four quad-core mixes, with
+shorter traces seeded by the workload seed, so that a pass takes a
 second or two and several cold passes, the warm passes and the checks
-fit the run budget. Each cold pass starts from a fresh store with the
+fit the run budget. The seed also draws which workloads make up each
+mix, and one mix's cost varies with its draw by a quarter; four short
+mixes average that out. Each cold pass starts from a fresh store with the
 program's in-process caches cleared; warm passes re-run the sweep from
 fresh sessions over the cold passes' stores in turn.
 """
@@ -22,9 +24,9 @@ from common import Outcome
 #: single-core workloads and the number of quad-core mixes (``small`` has
 #: six workloads and four mixes).
 N_REQUESTS_SINGLE = 1_000
-N_REQUESTS_MULTI = 500
+N_REQUESTS_MULTI = 250
 SINGLE_WORKLOADS = ("comm2", "mummer")
-MULTICORE_MIXES = 1
+MULTICORE_MIXES = 4
 
 #: Jobs of each cold pass re-run through ``repro.core.api.run_system``.
 RECHECK_SAMPLE = 1
@@ -132,7 +134,10 @@ def run(ctx, cold_only: bool):
         for index in range(ctx.cold_passes(cold_only)):
             clear_caches()
             colds.append(
-                ctx.timed(out.cold, _sweep, ctx, names, scale, ctx.tmp / f"store-{index}")
+                ctx.timed(
+                    out.cold, _sweep, ctx, names, scale, ctx.tmp / f"store-{index}",
+                    cpu=out.cold_cpu,
+                )
             )
         if cold_only:
             return out

@@ -77,10 +77,9 @@ def group_key(spec: SystemSpec) -> tuple:
 
     Lanes sharing a key share the kernel's most expensive construction
     tables: the address-decode memo is keyed by ``(geometry, mapping)``
-    inside :class:`~repro.batch.kernel.BatchKernel`, and the refresh
-    spread schedules and timing domains hash off the geometry. Grouping
-    is a packing heuristic, never a correctness rule — the kernel
-    accepts fully heterogeneous lanes; :func:`incompatibility` alone
-    decides what may batch at all.
+    inside :class:`~repro.batch.kernel.BatchKernel`, and the timing
+    domains hash off the geometry. Grouping is a packing heuristic,
+    never a correctness rule — the kernel accepts fully heterogeneous
+    lanes; :func:`incompatibility` alone decides what may batch at all.
     """
     return (spec.geometry, spec.mapping)

@@ -12,12 +12,11 @@ memos) lives in the flat per-lane tables of :mod:`repro.batch.lane` —
 scalar-indexed access dominates there, where Python lists beat numpy
 element access by an order of magnitude.
 
-Construction is where batching wins beyond the flat stepper: lanes
-share refresh spread schedules (memoized by slot-count mixture — the
-scalar engine's single biggest per-run construction cost), timing
-domains, MCR row classifiers, and an address-decode memo per
-(geometry, mapping), so 64 lanes pay construction roughly once per
-*distinct config*, not once per lane.
+Lanes share timing domains, MCR row classifiers and an address-decode
+memo per (geometry, mapping), so 64 lanes pay that construction once
+per *distinct config*, not once per lane. The refresh spread schedule
+comes from the memo in :mod:`repro.dram.refresh`, which the scalar
+engine shares.
 """
 
 from __future__ import annotations
@@ -28,17 +27,13 @@ import numpy as np
 
 from repro.batch.compat import incompatibility
 from repro.batch.lane import Lane
-from repro.batch.tables import (
-    as_mode_config,
-    shared_domain,
-    spread_schedule,
-    window_counts,
-)
+from repro.batch.tables import as_mode_config, shared_domain
 from repro.controller.address_mapping import AddressMapper
 from repro.core.api import SystemSpec
 from repro.core.mcr_mode import MCRMode
 from repro.cpu.trace import Trace
 from repro.dram.mcr import MCRGenerator, MCRModeConfig
+from repro.dram.refresh import spread_schedule, window_counts
 from repro.sim.results import RunResult
 
 #: Lanes per kernel invocation; the harness chunks larger groups.
@@ -131,7 +126,7 @@ class BatchKernel:
             spread = (
                 spread_schedule(window_counts(mode))
                 if spec.refresh_enabled
-                else []
+                else b""
             )
             domain = shared_domain(geometry, mode, spec.wiring)
             lanes.append(

@@ -40,6 +40,12 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.cpu.core import BlockReason, Core
+from repro.dram.refresh import (
+    KIND_FAST,
+    KIND_FAST_ALT,
+    KIND_SKIPPED,
+    KIND_TO_TRFC_CLASS,
+)
 from repro.obs.hub import _DEPTH_BUCKETS as _QUEUE_DEPTH_BUCKETS
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.power.edp import edp_joule_seconds
@@ -47,8 +53,6 @@ from repro.power.micron import PowerModel, PowerStats
 from repro.sim.engine import SimulationError
 from repro.sim.results import RunResult
 from repro.utils.stats import truncating_percentile
-
-from repro.batch.tables import KIND_TO_TRFC_CLASS
 
 _INF = math.inf
 _NEVER = 1 << 62
@@ -60,8 +64,6 @@ _MAX_POSTPONED = 8
 
 # Dense RowClass encoding: RowClass.NORMAL/MCR/MCR_ALT .value == 1/2/3.
 _CLS_NORMAL, _CLS_MCR, _CLS_MCR_ALT = 1, 2, 3
-# Dense RefreshSlotKind encoding (repro.batch.tables): SKIPPED == 3.
-_KIND_SKIPPED = 3
 
 
 class _Req:
@@ -355,7 +357,7 @@ class _Ctrl:
         cursor = self.ref_cursor[rank]
         spread = self.spread
         skipped = 0
-        while served < accrued and spread[cursor % 8192] == _KIND_SKIPPED:
+        while served < accrued and spread[cursor % 8192] == KIND_SKIPPED:
             cursor += 1
             served += 1
             skipped += 1
@@ -683,9 +685,9 @@ class _Ctrl:
             self._apply_refresh(cycle, rank, self.trfc_by_kind[slot_kind])
             self.ref_cursor[rank] += 1
             self.ref_served[rank] += 1
-            if slot_kind == 1:  # FAST
+            if slot_kind == KIND_FAST:
                 self.ref_fast[rank] += 1
-            elif slot_kind == 2:  # FAST_ALT
+            elif slot_kind == KIND_FAST_ALT:
                 self.ref_fast_alt[rank] += 1
             else:
                 self.ref_normal[rank] += 1

@@ -25,12 +25,17 @@ window, which would bias short runs. The spread plan emits the same per-
 window mix of {normal, fast, skipped} slots, interleaved deterministically
 (largest-remainder), so a run of any length sees representative refresh
 behaviour. Both plans expose identical per-window aggregates (tested).
+
+The spread schedule depends only on the per-window slot counts, so
+:func:`spread_schedule` is memoized by that mixture and shared by every
+plan and every batched lane that needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
+from functools import lru_cache
 
 from repro.dram.config import REFRESH_SLOTS_PER_WINDOW, DRAMGeometry
 from repro.dram.mcr import MCRGenerator, MCRModeConfig, RowClass
@@ -102,6 +107,19 @@ class RefreshSlotKind(Enum):
     SKIPPED = auto()  # no command issued (Refresh-Skipping)
 
 
+#: Dense slot-kind encoding used by :func:`spread_schedule`: the index of
+#: each :class:`RefreshSlotKind` in declaration order.
+KIND_NORMAL, KIND_FAST, KIND_FAST_ALT, KIND_SKIPPED = 0, 1, 2, 3
+_KINDS = tuple(RefreshSlotKind)
+
+#: Dense slot kind -> RowClass value whose tRFC applies to it (mirrors
+#: ``RefreshScheduler.trfc_class``; SKIPPED slots issue no command).
+KIND_TO_TRFC_CLASS = (RowClass.NORMAL.value, RowClass.MCR.value, RowClass.MCR_ALT.value)
+
+#: Distinct slot-count mixtures :func:`spread_schedule` keeps (8 KB each).
+SPREAD_MEMO_SIZE = 128
+
+
 @dataclass(frozen=True, slots=True)
 class RefreshSlot:
     """One refresh-command slot of the 8192-slot window."""
@@ -142,8 +160,8 @@ class RefreshPlan:
             if mode.has_alt_region
             else {0},
         }
-        self._counts = self._window_counts()
-        self._spread = self._build_spread_schedule()
+        self._counts = window_counts(mode)
+        self._spread = spread_schedule(self._counts)
 
     # ------------------------------------------------------------------
     # Exact (wiring-faithful) schedule
@@ -195,81 +213,105 @@ class RefreshPlan:
     # Rate-preserving spread schedule (simulator default)
     # ------------------------------------------------------------------
 
-    def _window_counts(self) -> dict[RefreshSlotKind, int]:
-        """Per-window slot counts; computed analytically, verified vs exact.
-
-        Each MCR region covers its fraction of every sub-array, and the
-        counter walks every row once per window, so that fraction of slots
-        targets the region's rows; of those, a fraction (1 - M/K) is
-        skipped when Refresh-Skipping is on, and the rest are fast when
-        Fast-Refresh is on.
-        """
-        total = self.slots_per_window
-        mech = self.mode.mechanisms
-        counts = {kind: 0 for kind in RefreshSlotKind}
-        counts[RefreshSlotKind.NORMAL] = total
-        if not self.mode.enabled:
-            return counts
-        regions = [
-            (RefreshSlotKind.FAST, self.mode.region_fraction, self.mode.k, self.mode.m)
-        ]
-        if self.mode.has_alt_region:
-            regions.append(
-                (
-                    RefreshSlotKind.FAST_ALT,
-                    self.mode.alt_region_fraction,
-                    self.mode.alt_k,
-                    self.mode.alt_m,
-                )
-            )
-        for fast_kind, fraction, k, m in regions:
-            region_slots = round(total * fraction)
-            skipped = (
-                region_slots * (k - m) // k if mech.refresh_skipping else 0
-            )
-            issued = region_slots - skipped
-            fast = issued if mech.fast_refresh else 0
-            counts[RefreshSlotKind.SKIPPED] += skipped
-            counts[fast_kind] += fast
-            counts[RefreshSlotKind.NORMAL] -= skipped + fast
-        return counts
-
     def window_counts(self) -> dict[RefreshSlotKind, int]:
         """Slots of each kind per 8192-slot window."""
-        return dict(self._counts)
-
-    def _build_spread_schedule(self) -> list[RefreshSlotKind]:
-        """Largest-remainder interleave of the per-window slot mix.
-
-        Produces a deterministic sequence in which, after any prefix of
-        length n, each kind has appeared floor/ceil of its fair share —
-        so arbitrarily short simulations see representative refresh costs.
-        """
-        total = self.slots_per_window
-        kinds = list(RefreshSlotKind)
-        quotas = {kind: self._counts[kind] / total for kind in kinds}
-        credit = {kind: 0.0 for kind in kinds}
-        emitted = {kind: 0 for kind in kinds}
-        schedule: list[RefreshSlotKind] = []
-        for _ in range(total):
-            for kind in kinds:
-                credit[kind] += quotas[kind]
-            # Pick the kind furthest ahead of its emissions, respecting caps.
-            best = max(
-                (k for k in kinds if emitted[k] < self._counts[k]),
-                key=lambda k: credit[k] - emitted[k],
-            )
-            emitted[best] += 1
-            schedule.append(best)
-        return schedule
+        return dict(zip(_KINDS, self._counts))
 
     def spread_kind(self, index: int) -> RefreshSlotKind:
         """Slot kind at position ``index`` of the spread schedule."""
         if index < 0:
             raise ValueError("index must be non-negative")
-        return self._spread[index % self.slots_per_window]
+        return _KINDS[self._spread[index % self.slots_per_window]]
 
     def issued_fraction(self) -> float:
         """Fraction of refresh commands actually issued (1 - skip rate)."""
-        skipped = self._counts[RefreshSlotKind.SKIPPED]
-        return 1.0 - skipped / self.slots_per_window
+        return 1.0 - self._counts[KIND_SKIPPED] / self.slots_per_window
+
+
+def window_counts(mode: MCRModeConfig) -> tuple[int, int, int, int]:
+    """Slots of each dense kind per 8192-slot window, computed analytically
+    (verified against the exact wiring schedule by the tests).
+
+    Each MCR region covers its fraction of every sub-array, and the
+    counter walks every row once per window, so that fraction of slots
+    targets the region's rows; of those, a fraction (1 - M/K) is skipped
+    when Refresh-Skipping is on, and the rest are fast when Fast-Refresh
+    is on.
+    """
+    total = REFRESH_SLOTS_PER_WINDOW
+    counts = [total, 0, 0, 0]
+    if not mode.enabled:
+        return tuple(counts)
+    regions = [(KIND_FAST, mode.region_fraction, mode.k, mode.m)]
+    if mode.has_alt_region:
+        regions.append(
+            (KIND_FAST_ALT, mode.alt_region_fraction, mode.alt_k, mode.alt_m)
+        )
+    mechanisms = mode.mechanisms
+    for fast_kind, fraction, k, m in regions:
+        region_slots = round(total * fraction)
+        skipped = region_slots * (k - m) // k if mechanisms.refresh_skipping else 0
+        issued = region_slots - skipped
+        fast = issued if mechanisms.fast_refresh else 0
+        counts[KIND_SKIPPED] += skipped
+        counts[fast_kind] += fast
+        counts[KIND_NORMAL] -= skipped + fast
+    return tuple(counts)
+
+
+@lru_cache(maxsize=SPREAD_MEMO_SIZE)
+def spread_schedule(counts: tuple[int, int, int, int]) -> bytes:
+    """Largest-remainder interleave of one window's slot mix, as dense kinds.
+
+    ``counts`` is a :func:`window_counts` tuple. The result is a
+    deterministic sequence in which, after any prefix of length n, each
+    kind has appeared at most the ceiling of its fair share
+    ``n * count / 8192`` and at least one less than its floor (exactly
+    floor/ceil for the paper's modes) — so arbitrarily short simulations
+    see representative refresh costs. Each round accrues credit in kind
+    order and emits the kind furthest ahead of its emissions among those
+    below their cap, the first such kind winning ties. Memoized by
+    mixture: the schedule is immutable and shared.
+    """
+    total = REFRESH_SLOTS_PER_WINDOW
+    n0, n1, n2, n3 = counts
+    q0, q1, q2, q3 = n0 / total, n1 / total, n2 / total, n3 / total
+    c0 = c1 = c2 = c3 = 0.0
+    e0 = e1 = e2 = e3 = 0
+    schedule = bytearray()
+    append = schedule.append
+    for _ in range(total):
+        c0 += q0
+        c1 += q1
+        c2 += q2
+        c3 += q3
+        best = -1
+        best_key = 0.0
+        if e0 < n0:
+            best = KIND_NORMAL
+            best_key = c0 - e0
+        if e1 < n1:
+            key = c1 - e1
+            if best < 0 or key > best_key:
+                best = KIND_FAST
+                best_key = key
+        if e2 < n2:
+            key = c2 - e2
+            if best < 0 or key > best_key:
+                best = KIND_FAST_ALT
+                best_key = key
+        if e3 < n3:
+            key = c3 - e3
+            if best < 0 or key > best_key:
+                best = KIND_SKIPPED
+                best_key = key
+        if best == KIND_NORMAL:
+            e0 += 1
+        elif best == KIND_FAST:
+            e1 += 1
+        elif best == KIND_FAST_ALT:
+            e2 += 1
+        else:
+            e3 += 1
+        append(best)
+    return bytes(schedule)

@@ -323,13 +323,13 @@ def plan_units(
     """Partition deduplicated (and cache-peeled) jobs into work units.
 
     Batch-compatible jobs are grouped by ``group_key`` — one kernel
-    invocation then shares address-decode memos, spread schedules and
-    timing domains across its lanes — and each group is split into
-    chunks of at most ``max_lanes`` (default ``MAX_LANES``). Jobs the
-    compat predicate refuses become one scalar unit each. Unit order is
-    deterministic: chunk groups in first-seen order, then scalar units
-    in first-seen order, so the executor's telemetry and collection
-    order are reproducible run to run.
+    invocation then shares address-decode memos and timing domains
+    across its lanes — and each group is split into chunks of at most
+    ``max_lanes`` (default ``MAX_LANES``). Jobs the compat predicate
+    refuses become one scalar unit each. Unit order is deterministic:
+    chunk groups in first-seen order, then scalar units in first-seen
+    order, so the executor's telemetry and collection order are
+    reproducible run to run.
 
     Callers peel cache hits *before* planning units (the executor
     resolves memo and store first), so a partially-cached sweep packs

@@ -51,7 +51,11 @@ class Tracked:
 #: with a deliberately loose threshold (runner noise dominates).
 TRACKED: dict[str, Tracked] = {
     "engine_hotpath_speedup": Tracked("detail.min_speedup", True, 0.15),
+    # Retired name: the ring still holds its records, judged as before.
     "batch_kernel_speedup": Tracked("detail.speedup", True, 0.25),
+    # Kernel vs scalar engine with the spread-schedule memo on both sides.
+    "batch_kernel_ab": Tracked("detail.min_speedup", True, 0.15),
+    "sweep_batch_ab": Tracked("detail.speedup", True, 0.15),
     "harness_speedup": Tracked("detail.speedup", True, 0.30),
     "service_load": Tracked("detail.throughput_jobs_s", True, 0.40),
     "obs_off_overhead": Tracked("overhead_pct", False, 0.03, shift=100.0),

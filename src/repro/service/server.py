@@ -38,6 +38,9 @@ from repro.obs.prometheus import OPENMETRICS_CONTENT_TYPE, render_openmetrics
 from repro.service.service import Draining, QueueFull, ServiceConfig, SimulationService
 from repro.service.spec import SpecError
 
+#: Seconds a client gets to deliver the request head, and then its body.
+_READ_TIMEOUT_S = 30.0
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -132,7 +135,9 @@ class ServiceServer:
     async def _handle_inner(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=30)
+        head = await asyncio.wait_for(
+            reader.readuntil(b"\r\n\r\n"), timeout=_READ_TIMEOUT_S
+        )
         request_line, *header_lines = head.decode("latin-1").split("\r\n")
         parts = request_line.split()
         if len(parts) != 3:
@@ -144,11 +149,23 @@ class ServiceServer:
             if ":" in line:
                 key, _, value = line.partition(":")
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            await self._respond(
+                writer, 400, {"error": f"invalid Content-Length: {raw_length!r}"}
+            )
+            return
+        length = int(raw_length)
         if length > self.service.config.max_body_bytes:
             await self._respond(writer, 413, {"error": "request body too large"})
             return
-        body = await reader.readexactly(length) if length else b""
+        body = (
+            await asyncio.wait_for(
+                reader.readexactly(length), timeout=_READ_TIMEOUT_S
+            )
+            if length
+            else b""
+        )
         url = urlsplit(target)
         # Repeatable params (``?fp=a&fp=b``) keep their full value
         # lists; single-valued lookups collapse to the last value.

@@ -15,10 +15,12 @@ field-by-field:
   regression cases;
 - a Hypothesis lane-isolation property: arbitrary mixed batches produce
   per-instance results identical to running each case alone;
-- pinning of the shared construction tables (``repro.batch.tables``)
-  against ``RefreshPlan``, and of the compat predicate's grouping rules.
+- pinning of the refresh spread schedules both engines share to digests
+  recorded from the retired enum builder, and of the compat predicate's
+  grouping rules.
 """
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -35,9 +37,9 @@ from repro.batch import (
     job_incompatibility,
     run_batch,
 )
-from repro.batch.tables import spread_schedule, window_counts
 from repro.core.api import SystemSpec
 from repro.core.mcr_mode import MCRMode
+from repro.dram.refresh import spread_schedule, window_counts
 from repro.verify.corpus import corpus_paths, load_artifact
 from repro.verify.generator import VerifyCase, build_spec, sample_case
 from tests.equivalence_harness import (
@@ -222,8 +224,33 @@ class TestLaneIsolation:
 
 
 # ----------------------------------------------------------------------
-# Shared construction tables pinned against the scalar builders
+# Refresh spread schedules pinned to the retired enum builder
 # ----------------------------------------------------------------------
+
+#: SHA-256 of the spread schedule (one byte per slot, the dense
+#: RefreshSlotKind index) for each slot-count mixture, recorded from the
+#: enum-keyed ``RefreshPlan`` builder the memoized dense-int builder
+#: replaced. Covers every mixture of CONFIG_MATRIX, of bench_batch's
+#: eight modes and of the parametrized modes below.
+RECORDED_SPREAD_DIGESTS = {
+    (0, 2048, 0, 6144): "facaf99032e45504c66fce8bf7ba5eb057e3766156b14eceed68654f16b13d69",
+    (0, 4096, 0, 4096): "aadaa08c81b620d08c103968bd925c753207332f1a07ba2c9a182c014b2505ca",
+    (0, 8192, 0, 0): "6ba042a6672c64272ce75901468fd210026cd674fe9f1e11b46c9302e47e2136",
+    (2048, 1024, 4096, 1024): "0d54e84666e28ba8b0a7b866fe04d6d0a9583582c97b601505b9df0b103ac47c",
+    (2048, 2048, 4096, 0): "30b3a17a7ac848b8714e6f404f55a56dc52d0bca8b21ea40ce5d0f991cd46a7b",
+    (4096, 2048, 0, 2048): "faec7a98034cc31c53223637e9ece8c4b565a22fe31208fcf34dd859290801fe",
+    (4096, 4096, 0, 0): "b6e3820929cfb104ed82170730a7512b7bd52a7befa7515e1abceda51cd42eb3",
+    (6144, 0, 0, 2048): "15cfe57adedd06770fbdd3a93c51795b9ccdb56bf4f540676b51f5fb34f6086b",
+    (6144, 1024, 0, 1024): "548546ee01e13ad5736ce06aee60e47936e631bc8b444ef4422633ccdd1b5fd0",
+    (6144, 2048, 0, 0): "0e9a39d0d217d4b181ca1505c140a1599d6104c2c8ee869004966860f1e4aad5",
+    (8192, 0, 0, 0): "9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47",
+}
+
+#: bench_batch's sweep modes (benchmarks/bench_batch.py ``_MODES``).
+BENCH_BATCH_MODES = (
+    "off", "2/2x", "4/4x", "2/2x/50%reg", "4/4x/50%reg", "1/2x", "2/4x",
+    "4/4x/25%reg",
+)
 
 
 class TestSpreadSchedulePin:
@@ -248,23 +275,38 @@ class TestSpreadSchedulePin:
         )
         self._check(mode.config)
 
+    def test_matrix_and_bench_mixtures_match_recorded_digests(self):
+        configs = [case.mode().config for case in CONFIG_MATRIX]
+        configs += [MCRMode.parse(label).config for label in BENCH_BATCH_MODES]
+        for config in configs:
+            self._check(config)
+
+    def test_recorded_mixtures_stay_within_floor_ceil(self):
+        """For these mixtures every prefix holds each kind to exactly the
+        floor or ceiling of its fair share."""
+        for counts in RECORDED_SPREAD_DIGESTS:
+            total = sum(counts)
+            running = [0, 0, 0, 0]
+            for n, kind in enumerate(spread_schedule(counts), start=1):
+                running[kind] += 1
+                for seen, count in zip(running, counts):
+                    assert (n * count) // total <= seen <= -(-n * count // total)
+
     @staticmethod
     def _check(config):
-        """The memoized dense-int schedule must equal RefreshPlan's slot
-        sequence position for position over a full window."""
+        """The slot sequence RefreshPlan serves over a full window must be
+        the memoized schedule and hash to the digest the enum builder
+        produced for the same mixture."""
         from repro.dram.refresh import RefreshPlan, RefreshSlotKind
 
         plan = RefreshPlan(VerifyCase().geometry(), config)
-        dense = {
-            RefreshSlotKind.NORMAL: 0,
-            RefreshSlotKind.FAST: 1,
-            RefreshSlotKind.FAST_ALT: 2,
-            RefreshSlotKind.SKIPPED: 3,
-        }
-        expected = [
+        dense = {kind: index for index, kind in enumerate(RefreshSlotKind)}
+        served = bytes(
             dense[plan.spread_kind(i)] for i in range(plan.slots_per_window)
-        ]
-        assert spread_schedule(window_counts(config)) == expected
+        )
+        counts = window_counts(config)
+        assert served == spread_schedule(counts)
+        assert hashlib.sha256(served).hexdigest() == RECORDED_SPREAD_DIGESTS[counts]
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.config import single_core_geometry
+from repro.dram.config import REFRESH_SLOTS_PER_WINDOW, single_core_geometry
 from repro.dram.mcr import MCRModeConfig, MechanismSet
 from repro.dram.refresh import (
+    SPREAD_MEMO_SIZE,
     RefreshPlan,
     RefreshSlotKind,
     WiringMethod,
@@ -14,6 +15,7 @@ from repro.dram.refresh import (
     max_refresh_interval_slots,
     refresh_address_sequence,
     refresh_row_address,
+    spread_schedule,
 )
 
 
@@ -168,6 +170,53 @@ class TestSpreadSchedule:
             plan.spread_kind(-1)
         with pytest.raises(ValueError):
             plan.exact_slot(-1)
+
+    @given(
+        st.lists(
+            st.integers(0, REFRESH_SLOTS_PER_WINDOW), min_size=3, max_size=3
+        ).map(sorted)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_fairness_for_arbitrary_counts(self, cuts):
+        """After every prefix of n slots each kind has appeared at most
+        ceil of its fair share n * count / window and at least one less
+        than its floor."""
+        total = REFRESH_SLOTS_PER_WINDOW
+        a, b, c = cuts
+        counts = (a, b - a, c - b, total - c)
+        running = [0, 0, 0, 0]
+        for n, kind in enumerate(spread_schedule(counts), start=1):
+            running[kind] += 1
+            for seen, count in zip(running, counts):
+                assert (n * count) // total - 1 <= seen <= -(-n * count // total)
+        assert running == list(counts)
+
+    def test_prefix_may_trail_floor_by_one(self):
+        """The floor side of the fair-share bound is not exact: with this
+        mix FAST has 464 slots after 2292, under its floor of 465."""
+        schedule = spread_schedule((6448, 1662, 81, 1))
+        fair = 2292 * 1662 / REFRESH_SLOTS_PER_WINDOW
+        assert fair > 465 and schedule[:2292].count(1) == 464
+
+    def test_equal_mixtures_share_one_memoized_schedule(self):
+        from repro.batch import clear_caches
+
+        clear_caches()
+        first = RefreshPlan(single_core_geometry(), MCRModeConfig(k=2, m=2))
+        second = RefreshPlan(single_core_geometry(), MCRModeConfig(k=4, m=4))
+        assert first.window_counts() == second.window_counts()
+        assert first._spread is second._spread
+        info = spread_schedule.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        clear_caches()
+        assert spread_schedule.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        total = REFRESH_SLOTS_PER_WINDOW
+        for normal in range(SPREAD_MEMO_SIZE + 8):
+            spread_schedule((normal, total - normal, 0, 0))
+        assert spread_schedule.cache_info().currsize <= SPREAD_MEMO_SIZE
+        assert spread_schedule.cache_info().maxsize == SPREAD_MEMO_SIZE
 
 
 class TestExactSlots:

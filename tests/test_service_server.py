@@ -1,11 +1,14 @@
 """HTTP front-end: end-to-end over a real socket with the stdlib client."""
 
 import json
+import socket
 import threading
+import time
 
 import pytest
 
 import repro.service.pool as pool_module
+import repro.service.server as server_module
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -97,6 +100,56 @@ def test_submit_stream_result_roundtrip(tmp_path):
         status = client.status(job_id)
         assert status["status"] == "done"
         assert client.cache_stats()["cache"]["writes"] == 1
+
+
+def _raw_exchange(host, port, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _assert_clean_submit_round_trips(client, seed):
+    accepted = client.submit({**SPEC, "seed": seed})
+    assert client.wait(accepted["job_id"])["status"] == "done"
+    assert client.result(accepted["job_id"])["result"]["execution_cycles"] > 0
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1.5", "\xb2"])
+def test_bad_content_length_is_a_400(tmp_path, length):
+    server = _Server(_config(tmp_path))
+    with server as client:
+        reply = _raw_exchange(
+            server.host,
+            server.port,
+            f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode(
+                "latin-1"
+            ),
+        )
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+        assert b"Content-Length" in reply
+        assert server.service.metrics.counter("service.http_errors").value == 0
+        _assert_clean_submit_round_trips(client, seed=31)
+
+
+def test_stalled_body_is_dropped_after_the_read_timeout(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 0.5)
+    server = _Server(_config(tmp_path))
+    with server as client:
+        start = time.monotonic()
+        # The head promises 100 body bytes; only one ever arrives.
+        reply = _raw_exchange(
+            server.host,
+            server.port,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+        )
+        assert reply == b""
+        assert time.monotonic() - start < 5
+        assert server.service.metrics.counter("service.http_errors").value == 0
+        _assert_clean_submit_round_trips(client, seed=32)
 
 
 def test_error_statuses(tmp_path):

@@ -312,8 +312,8 @@ class MemoryController:
             self.channel.apply_refresh(cycle, rank, trfc)
             self.refresh.mark_issued(rank, slot_kind)
             if observer is not None:
-                # Record the slot's tRFC in the row field, matching the
-                # device-log / auditor convention.
+                # The row field carries the slot's tRFC: the oracle
+                # checks it against its own table and charges it.
                 observer.on_command(
                     Command(cycle, CommandType.REFRESH, 0, rank=rank, row=trfc),
                     None,

@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.dram.bank import NEVER, BankState
-from repro.dram.commands import Command, CommandType
 from repro.dram.config import DRAMGeometry
 from repro.dram.mcr import RowClass
 from repro.dram.timing import BaseTimings, TimingDomain
@@ -174,9 +173,6 @@ class ChannelState:
         self.data_bus_busy_cycles = 0
         self.read_count = 0
         self.write_count = 0
-        #: When set (a list), every applied command is recorded here; the
-        #: independent auditor in repro.sim.audit re-checks the log.
-        self.command_log: list[Command] | None = None
 
     # ------------------------------------------------------------------
     # Earliest-issue queries
@@ -243,10 +239,6 @@ class ChannelState:
             )
         self.next_command_cycle = cycle + 1
 
-    def _log(self, command: Command) -> None:
-        if self.command_log is not None:
-            self.command_log.append(command)
-
     def apply_activate(
         self, cycle: int, rank: int, bank: int, row: int, row_class: RowClass
     ) -> None:
@@ -254,9 +246,6 @@ class ChannelState:
         self.ranks[rank].apply_activate(cycle)
         timings = self.domain.row_timings(row_class)
         self.ranks[rank].banks[bank].apply_activate(cycle, row, timings, row_class)
-        self._log(
-            Command(cycle, CommandType.ACTIVATE, 0, rank=rank, bank=bank, row=row)
-        )
 
     def apply_column(
         self, cycle: int, rank: int, bank: int, is_write: bool
@@ -278,29 +267,16 @@ class ChannelState:
             self.write_count += 1
         else:
             self.read_count += 1
-        self._log(
-            Command(
-                cycle,
-                CommandType.WRITE if is_write else CommandType.READ,
-                0,
-                rank=rank,
-                bank=bank,
-            )
-        )
         return end
 
     def apply_precharge(self, cycle: int, rank: int, bank: int) -> None:
         self._consume_command_bus(cycle)
         self.ranks[rank].banks[bank].apply_precharge(cycle)
         self.ranks[rank].note_precharge(cycle)
-        self._log(Command(cycle, CommandType.PRECHARGE, 0, rank=rank, bank=bank))
 
     def apply_refresh(self, cycle: int, rank: int, trfc_cycles: int) -> None:
         self._consume_command_bus(cycle)
         self.ranks[rank].apply_refresh(cycle, trfc_cycles)
-        # Record the slot's tRFC in the row field so the auditor can
-        # re-check the correct occupancy for fast vs normal refreshes.
-        self._log(Command(cycle, CommandType.REFRESH, 0, rank=rank, row=trfc_cycles))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,9 +9,10 @@ replay:
 1. Take the recorded command stream (the tracer's events, in issue
    order).
 2. Re-derive each command's earliest legal issue cycle under a
-   *mechanism-disabled* :class:`~repro.dram.timing.TimingDomain`, using
-   the invariant checker's :class:`~repro.obs.invariants.ConstraintModel`
-   — the same shadow-history gating computation that labelled the trace.
+   *mechanism-disabled* configuration of the protocol oracle: a fresh
+   :class:`~repro.verify.oracle.ChannelShadow` folds the replayed stream
+   and the oracle's spacing rules bound each command — the same rules
+   that checked the run and labelled its trace.
 3. Replay the stream twice, bracketing the truth:
 
    - **slack-absorbing** (lower bound): a command issues at
@@ -35,24 +36,27 @@ Refresh-Skipping cannot be replayed this way — skipped REFRESH commands
 are absent from the trace — so its bucket is the occupancy upper bound
 ``skipped slots x tRFC``, reported separately with its basis.
 
-The replay under the run's *own* domain is a built-in self-check: the
-invariant checker guarantees every recorded cycle satisfies its bounds,
-so that replay must reproduce the stream exactly (delta 0). A non-zero
-self-check means the trace and the model disagree — attribution output
-would be untrustworthy and the snapshot says so.
+The replay under the run's *own* configuration is a built-in
+self-check: the oracle accepted every recorded cycle as it issued, so
+that replay must reproduce the stream exactly (delta 0). A non-zero
+self-check means the trace and the paper's timing disagree — attribution
+output would be untrustworthy and the snapshot says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.dram.commands import Command, CommandType
-from repro.dram.config import DRAMGeometry
-from repro.dram.mcr import MCRModeConfig, RowClass
-from repro.dram.timing import TimingDomain
-from repro.obs.invariants import ConstraintModel
-from repro.obs.tracer import ROW_CLASS_LABELS, TraceEvent
+from repro.obs.tracer import TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.verify.rules import OracleConfig, OracleTimings, RowKind
+
+# repro.verify is imported inside the functions below: this module loads
+# with repro.obs, which every simulation imports, and a plain simulation
+# must not pay for loading the oracle package.
 
 #: Attribution snapshot schema version.
 ATTRIBUTION_SCHEMA_VERSION = 1
@@ -65,40 +69,24 @@ MECHANISMS: tuple[str, ...] = (
     "refresh_skipping",
 )
 
-_LABEL_TO_CLASS = {label: cls for cls, label in ROW_CLASS_LABELS.items()}
 
+def _trfc_kind_map(timings: "OracleTimings") -> dict[int, "RowKind"]:
+    """Charged tRFC value -> row kind; NORMAL wins ties (listed last),
+    then MCR over MCR_ALT over CHARGED (reverse declaration order)."""
+    from repro.verify.rules import RowKind
 
-def _counterfactual_domain(
-    geometry: DRAMGeometry, domain: TimingDomain, mode: MCRModeConfig, mechanisms
-) -> TimingDomain:
-    return TimingDomain(
-        geometry,
-        replace(mode, mechanisms=mechanisms),
-        base=domain.base,
-        wiring=domain.wiring,
-    )
-
-
-def _trfc_class_map(domain: TimingDomain) -> dict[int, RowClass]:
-    """Actual tRFC value -> row class; NORMAL wins ties (listed last).
-
-    Built generically over :class:`RowClass` so plugin-introduced
-    classes resolve too; on ties, later entries win — NORMAL last, then
-    MCR over MCR_ALT over any plugin class (reverse declaration order).
-    """
-    ordered = [cls for cls in RowClass if cls is not RowClass.NORMAL]
+    ordered = [kind for kind in RowKind if kind is not RowKind.NORMAL]
     ordered.reverse()
-    ordered.append(RowClass.NORMAL)
-    return {domain.trfc_cycles(cls): cls for cls in ordered}
+    ordered.append(RowKind.NORMAL)
+    return {timings.trfc[kind]: kind for kind in ordered}
 
 
-def _command_end(kind: str, cycle: int, domain: TimingDomain, trfc: int) -> int:
+def _command_end(kind: str, cycle: int, base: Mapping[str, int], trfc: int) -> int:
     """Completion cycle of a command (data end / tRFC end / issue)."""
-    base = domain.base
     if kind == "READ":
-        return cycle + base.t_cas + base.t_burst
+        return cycle + base["tCAS"] + base["tBURST"]
     if kind == "WRITE":
-        return cycle + base.t_cwd + base.t_burst
+        return cycle + base["tCWD"] + base["tBURST"]
     if kind == "REFRESH":
         return cycle + trfc
     return cycle
@@ -106,65 +94,124 @@ def _command_end(kind: str, cycle: int, domain: TimingDomain, trfc: int) -> int:
 
 def replay_events(
     events: Sequence[TraceEvent],
-    geometry: DRAMGeometry,
-    replay_domain: TimingDomain,
-    mode: MCRModeConfig,
-    actual_domain: TimingDomain,
+    replay_config: "OracleConfig",
+    actual_timings: "OracleTimings",
     propagate_shift: bool = False,
 ) -> tuple[int, dict[tuple[int, int, int, int], int]]:
-    """Replay one channel's recorded stream under ``replay_domain``.
+    """Replay one channel's recorded stream under ``replay_config``.
 
-    With ``propagate_shift`` False a command's floor is its original
-    cycle (slack-absorbing lower bound); True adds the accumulated delay
-    of every earlier command on the channel (shift-propagating upper
-    bound). Returns ``(makespan, delays)`` where ``delays`` maps each
-    column command's identity ``(channel, original cycle, rank, bank)``
-    to its counterfactual issue delay in cycles (zero entries omitted).
+    ``actual_timings`` is the oracle table of the configuration the
+    stream was recorded under; it maps each REFRESH's charged tRFC back
+    to the row kind it refreshed. With ``propagate_shift`` False a
+    command's floor is its original cycle (slack-absorbing lower bound);
+    True adds the accumulated delay of every earlier command on the
+    channel (shift-propagating upper bound). Returns ``(makespan,
+    delays)`` where ``delays`` maps each column command's identity
+    ``(channel, original cycle, rank, bank)`` to its counterfactual
+    issue delay in cycles (zero entries omitted).
     """
+    from repro.verify.oracle import ChannelShadow, spacing_bounds
+    from repro.verify.rules import RowKind, oracle_timings
+
     if not events:
         return 0, {}
     channel = events[0].channel
-    model = ConstraintModel(geometry, replay_domain, mode)
-    trfc_classes = _trfc_class_map(actual_domain)
+    timings = oracle_timings(replay_config)
+    shadow = ChannelShadow(replay_config, timings)
+    trfc_kinds = _trfc_kind_map(actual_timings)
     makespan = 0
     shift = 0
     delays: dict[tuple[int, int, int, int], int] = {}
     for event in events:
-        kind = CommandType[event.kind]
-        row_class = _LABEL_TO_CLASS.get(event.row_class)
         row = event.row
         trfc = 0
-        if kind is CommandType.REFRESH:
+        if event.kind == "REFRESH":
             # event.row records the slot's *actual* tRFC; translate it to
-            # the replay domain's tRFC for the same row class.
-            slot_class = trfc_classes.get(event.row, RowClass.NORMAL)
-            trfc = replay_domain.trfc_cycles(slot_class)
+            # the replay configuration's tRFC for the same row kind.
+            trfc = timings.trfc[trfc_kinds.get(event.row, RowKind.NORMAL)]
             row = trfc
         cmd = Command(
             event.cycle,
-            kind,
+            CommandType[event.kind],
             channel,
             rank=event.rank,
             bank=event.bank,
             row=row,
         )
-        timing, _ = model.bounds(cmd, row_class)
         floor = event.cycle + (shift if propagate_shift else 0)
-        new_cycle = max([floor] + [bound for _, bound in timing])
+        new_cycle = max(
+            [floor] + [bound for _, bound in spacing_bounds(shadow, cmd, timings)]
+        )
         if propagate_shift:
             shift = new_cycle - event.cycle
         if new_cycle != event.cycle:
-            moved = replace(cmd, cycle=new_cycle)
-        else:
-            moved = cmd
-        model.observe(moved, row_class)
-        if kind in (CommandType.READ, CommandType.WRITE) and new_cycle > event.cycle:
+            cmd = replace(cmd, cycle=new_cycle)
+        shadow.observe(cmd)
+        if event.kind in ("READ", "WRITE") and new_cycle > event.cycle:
             key = (channel, event.cycle, event.rank, event.bank)
             delays[key] = new_cycle - event.cycle
-        end = _command_end(event.kind, new_cycle, replay_domain, trfc)
+        end = _command_end(event.kind, new_cycle, timings.base, trfc)
         if end > makespan:
             makespan = end
     return makespan, delays
+
+
+def _recorded_streams(hub) -> tuple[list[list[TraceEvent]], "OracleTimings"]:
+    """The hub's trace split per channel, plus the oracle table of the
+    configuration it was recorded under."""
+    if hub.tracer is None:
+        raise ValueError("mechanism attribution requires a command trace")
+    by_channel: dict[int, list[TraceEvent]] = {}
+    for event in hub.tracer.events:
+        by_channel.setdefault(event.channel, []).append(event)
+    return list(by_channel.values()), hub.checker.timings
+
+
+def _actual_makespan(streams, actual: "OracleTimings") -> int:
+    """Completion cycle of the recorded streams as they issued."""
+    from repro.verify.rules import RowKind
+
+    trfc_kinds = _trfc_kind_map(actual)
+    makespan = 0
+    for events in streams:
+        for event in events:
+            trfc = (
+                actual.trfc[trfc_kinds.get(event.row, RowKind.NORMAL)]
+                if event.kind == "REFRESH"
+                else 0
+            )
+            makespan = max(
+                makespan, _command_end(event.kind, event.cycle, actual.base, trfc)
+            )
+    return makespan
+
+
+def _replay_bracket(
+    streams, config: "OracleConfig", actual: "OracleTimings"
+) -> tuple[dict[str, int], dict[tuple[int, int, int, int], int]]:
+    """Lower/upper replay makespans under ``config``, plus the
+    slack-absorbing replay's per-column delays."""
+    makespans: dict[str, int] = {}
+    delays: dict[tuple[int, int, int, int], int] = {}
+    for bound, propagate in (("lower", False), ("upper", True)):
+        makespan = 0
+        for events in streams:
+            channel_makespan, channel_delays = replay_events(
+                events, config, actual, propagate_shift=propagate
+            )
+            makespan = max(makespan, channel_makespan)
+            if not propagate:
+                delays.update(channel_delays)
+        makespans[bound] = makespan
+    return makespans, delays
+
+
+def _self_check_delta(makespans: dict[str, int], actual_makespan: int) -> int:
+    return max(
+        makespans["lower"] - actual_makespan,
+        makespans["upper"] - actual_makespan,
+        key=abs,
+    )
 
 
 def attribute_mechanisms(
@@ -178,79 +225,42 @@ def attribute_mechanisms(
     estimate; when omitted it is read from the metrics registry if one
     was collected, else the RS bucket reports unknown slots.
     """
-    if hub.tracer is None:
-        raise ValueError("mechanism attribution requires a command trace")
-    geometry = hub.geometry
-    domain = hub.domain
-    mode = hub.mode
-    mechanisms = mode.mechanisms
+    from repro.verify.rules import RowKind
 
-    by_channel: dict[int, list[TraceEvent]] = {}
-    for event in hub.tracer.events:
-        by_channel.setdefault(event.channel, []).append(event)
+    streams, actual = _recorded_streams(hub)
+    geometry = hub.geometry
+    mode = hub.mode
+    config = hub.checker.config
 
     # Cumulative ladder: each step disables one more mechanism, so
     # consecutive makespan deltas are per-mechanism buckets that sum to
     # the full ladder's total by construction.
     ladder = [
-        ("self_check", mechanisms),
-        ("early_access", replace(mechanisms, early_access=False)),
+        ("self_check", config),
+        ("early_access", replace(config, early_access=False)),
         (
             "early_precharge",
-            replace(mechanisms, early_access=False, early_precharge=False),
+            replace(config, early_access=False, early_precharge=False),
         ),
         (
             "fast_refresh",
             replace(
-                mechanisms,
+                config,
                 early_access=False,
                 early_precharge=False,
                 fast_refresh=False,
             ),
         ),
     ]
-    actual_makespan = 0
-    for events in by_channel.values():
-        trfc_classes = _trfc_class_map(domain)
-        for event in events:
-            trfc = (
-                domain.trfc_cycles(trfc_classes.get(event.row, RowClass.NORMAL))
-                if event.kind == "REFRESH"
-                else 0
-            )
-            end = _command_end(event.kind, event.cycle, domain, trfc)
-            if end > actual_makespan:
-                actual_makespan = end
-
+    actual_makespan = _actual_makespan(streams, actual)
     makespans: dict[str, dict[str, int]] = {}
     step_delays: dict[str, dict] = {}
-    for name, step_mechanisms in ladder:
-        step_domain = _counterfactual_domain(geometry, domain, mode, step_mechanisms)
-        bound_makespans = {}
-        delays: dict[tuple[int, int, int, int], int] = {}
-        for bound, propagate in (("lower", False), ("upper", True)):
-            makespan = 0
-            for events in by_channel.values():
-                channel_makespan, channel_delays = replay_events(
-                    events,
-                    geometry,
-                    step_domain,
-                    mode,
-                    domain,
-                    propagate_shift=propagate,
-                )
-                makespan = max(makespan, channel_makespan)
-                if not propagate:
-                    delays.update(channel_delays)
-            bound_makespans[bound] = makespan
-        makespans[name] = bound_makespans
-        step_delays[name] = delays
+    for name, step_config in ladder:
+        makespans[name], step_delays[name] = _replay_bracket(
+            streams, step_config, actual
+        )
 
-    self_check_delta = max(
-        makespans["self_check"]["lower"] - actual_makespan,
-        makespans["self_check"]["upper"] - actual_makespan,
-        key=abs,
-    )
+    self_check_delta = _self_check_delta(makespans["self_check"], actual_makespan)
     buckets: dict[str, float] = {name: 0.0 for name in MECHANISMS}
     bucket_bounds: dict[str, dict[str, int]] = {}
     evidence: dict[str, dict] = {}
@@ -290,9 +300,9 @@ def attribute_mechanisms(
         skipped = 0
     # A skipped slot would have cost its class's tRFC of rank occupancy —
     # an upper bound on wall-clock impact (slots can overlap idle time).
-    skipped_trfc = domain.trfc_cycles(
-        RowClass.MCR if mechanisms.fast_refresh else RowClass.NORMAL
-    )
+    skipped_trfc = actual.trfc[
+        RowKind.MCR if config.fast_refresh else RowKind.NORMAL
+    ]
     buckets["refresh_skipping"] = float(skipped * skipped_trfc)
     bucket_bounds["refresh_skipping"] = {
         "lower": 0,
@@ -344,76 +354,39 @@ def attribute_mechanisms(
 def attribute_plugin(hub) -> dict:
     """Decompose a latency-mechanism plugin's contribution from one run.
 
-    The counterfactual is the *mechanism-removed* device: a baseline
-    (mode-off, override-free) timing domain. The observed stream is
-    replayed under it with the same slack-absorbing / shift-propagating
-    bracket as :func:`attribute_mechanisms`, and the single
-    ``"mechanism"`` bucket is the midpoint. For the reference MCR plugin
-    prefer :func:`attribute_mechanisms`, which splits the same delta
-    into the paper's four per-mechanism buckets.
+    The counterfactual is the *mechanism-removed* device: the oracle
+    configured as conventional DRAM of the same geometry. The observed
+    stream is replayed under it with the same slack-absorbing /
+    shift-propagating bracket as :func:`attribute_mechanisms`, and the
+    single ``"mechanism"`` bucket is the midpoint. For the reference MCR
+    plugin prefer :func:`attribute_mechanisms`, which splits the same
+    delta into the paper's four per-mechanism buckets.
 
-    The self-check replays under the run's own domain (including the
-    plugin's timing overrides, which the hub's domain carries) and must
+    The self-check replays under the run's own oracle configuration
+    (including the plugin's independent timing table) and must
     reproduce the stream exactly.
     """
-    if hub.tracer is None:
-        raise ValueError("mechanism attribution requires a command trace")
-    geometry = hub.geometry
-    domain = hub.domain
+    from repro.verify.rules import OracleConfig
+
+    streams, actual = _recorded_streams(hub)
     mode = hub.mode
-
-    by_channel: dict[int, list[TraceEvent]] = {}
-    for event in hub.tracer.events:
-        by_channel.setdefault(event.channel, []).append(event)
-
-    trfc_classes = _trfc_class_map(domain)
-    actual_makespan = 0
-    for events in by_channel.values():
-        for event in events:
-            trfc = (
-                domain.trfc_cycles(trfc_classes.get(event.row, RowClass.NORMAL))
-                if event.kind == "REFRESH"
-                else 0
-            )
-            end = _command_end(event.kind, event.cycle, domain, trfc)
-            if end > actual_makespan:
-                actual_makespan = end
-
-    baseline_mode = MCRModeConfig.off()
-    baseline_domain = TimingDomain(
-        geometry, baseline_mode, base=domain.base, wiring=domain.wiring
+    config = hub.checker.config
+    baseline = OracleConfig(
+        rows_per_bank=config.rows_per_bank,
+        rows_per_subarray=config.rows_per_subarray,
+        banks_per_rank=config.banks_per_rank,
+        ranks_per_channel=config.ranks_per_channel,
+        density=config.density,
     )
+    actual_makespan = _actual_makespan(streams, actual)
     makespans: dict[str, dict[str, int]] = {}
     step_delays: dict[str, dict] = {}
-    for name, step_domain, step_mode in (
-        ("self_check", domain, mode),
-        ("mechanism_off", baseline_domain, baseline_mode),
-    ):
-        bound_makespans = {}
-        delays: dict[tuple[int, int, int, int], int] = {}
-        for bound, propagate in (("lower", False), ("upper", True)):
-            makespan = 0
-            for events in by_channel.values():
-                channel_makespan, channel_delays = replay_events(
-                    events,
-                    geometry,
-                    step_domain,
-                    step_mode,
-                    domain,
-                    propagate_shift=propagate,
-                )
-                makespan = max(makespan, channel_makespan)
-                if not propagate:
-                    delays.update(channel_delays)
-            bound_makespans[bound] = makespan
-        makespans[name] = bound_makespans
-        step_delays[name] = delays
+    for name, step_config in (("self_check", config), ("mechanism_off", baseline)):
+        makespans[name], step_delays[name] = _replay_bracket(
+            streams, step_config, actual
+        )
 
-    self_check_delta = max(
-        makespans["self_check"]["lower"] - actual_makespan,
-        makespans["self_check"]["upper"] - actual_makespan,
-        key=abs,
-    )
+    self_check_delta = _self_check_delta(makespans["self_check"], actual_makespan)
     slack = makespans["mechanism_off"]["lower"] - makespans["self_check"]["lower"]
     shifted = makespans["mechanism_off"]["upper"] - makespans["self_check"]["upper"]
     bounds = {"lower": min(slack, shifted), "upper": max(slack, shifted)}

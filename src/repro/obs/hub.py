@@ -7,18 +7,20 @@ so disabled observability costs one branch per command) with every
 issued command and every accepted request. The hub fans those events out
 to whichever components the :class:`ObservabilityConfig` enabled:
 
-- the **tracer** records the command with the gate label the constraint
-  model derived;
+- the **protocol oracle** (:class:`repro.verify.oracle.ProtocolOracle`)
+  checks every command against the paper's and JEDEC's timing tables as
+  it issues and names the constraint that gated it;
+- the **tracer** records the command with that gate label;
 - the **metrics registry** counts commands, classifies request arrivals
   (row hit / conflict / closed bank), samples queue depths, and detects
   sense-amp early-access events (an MCR-row column command issued before
   the *normal* tRCD would have allowed);
-- the **invariant checker** validates inter-command spacing against the
-  reference :class:`~repro.dram.timing.TimingDomain` as commands issue.
+- the **profiler** splits each request's latency into components.
 
-``finalize`` folds end-of-run controller counters (refresh slot mix, row
-hit totals, latency aggregates) into the registry so a single snapshot
-describes the whole run.
+``finalize`` closes the oracle's end-of-run refresh audit and folds
+end-of-run controller counters (refresh slot mix, row hit totals,
+latency aggregates) into the registry so a single snapshot describes the
+whole run.
 """
 
 from __future__ import annotations
@@ -30,14 +32,16 @@ from repro.dram.commands import Command
 from repro.dram.config import DRAMGeometry
 from repro.dram.mcr import MCRModeConfig, RowClass
 from repro.dram.timing import TimingDomain
-from repro.obs.invariants import InvariantChecker, Violation
 from repro.obs.metrics import DEFAULT_QUANTILES, MetricsRegistry
 from repro.obs.profiler import RequestProfiler
 from repro.obs.tracer import CommandTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.request import MemoryRequest
+    from repro.mechanisms.base import LatencyMechanism
     from repro.sim.results import RunResult
+    from repro.verify.oracle import OracleViolation
+    from repro.verify.rules import OracleConfig
 
 #: Queue-depth histogram buckets (queues are 32 entries).
 _DEPTH_BUCKETS = (1, 2, 4, 8, 16, 24, 32)
@@ -48,18 +52,15 @@ class ObservabilityConfig:
     """What to observe during a run.
 
     Attributes:
-        trace: Record the command stream (implies running the constraint
-            model for gate labels).
+        trace: Record the command stream (implies running the protocol
+            oracle for gate labels).
         metrics: Collect the metrics registry.
-        invariants: Check inter-command spacing online.
+        invariants: Check every command online against the protocol
+            oracle, which always validates the paper's timing values —
+            a device programmed with a corrupted table shows up as
+            violations.
         profile: Build per-request latency-attribution profiles
             (:mod:`repro.obs.profiler`).
-        fail_fast: Raise :class:`~repro.obs.invariants.InvariantError`
-            at the first violation instead of collecting (CI fuzz mode).
-        reference_domain: Timing domain the checker validates against;
-            defaults to the simulated device's own domain. Pass an
-            independently derived domain to detect a corrupted device
-            timing table.
         max_trace_events: Cap on stored trace events (None = unbounded).
         max_profiles: Cap on stored per-request profiles (aggregates keep
             accumulating past the cap; None = unbounded).
@@ -68,18 +69,15 @@ class ObservabilityConfig:
         command_sink: Optional callable ``(channel, cmd, row_class)``
             invoked with every issued command. This is the raw
             command-stream tap external checkers attach to (notably the
-            differential oracle in :mod:`repro.verify`): unlike
-            ``invariants``, it runs *no* simulator-side constraint model,
-            so a sink-only config keeps the run free of shared-fate
-            checking.
+            differential fuzzer in :mod:`repro.verify`, which checks
+            against an oracle configured from the case description
+            rather than from the simulator's device mode).
     """
 
     trace: bool = False
     metrics: bool = False
     invariants: bool = False
     profile: bool = False
-    fail_fast: bool = False
-    reference_domain: TimingDomain | None = None
     max_trace_events: int | None = None
     max_profiles: int | None = None
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES
@@ -136,8 +134,58 @@ class ChannelObserver:
         self.hub.on_drain(self.channel, cycle, draining)
 
 
+def oracle_config(
+    geometry: DRAMGeometry,
+    mode: MCRModeConfig,
+    mechanism: "LatencyMechanism | None" = None,
+) -> "OracleConfig":
+    """The protocol oracle's description of a run's device.
+
+    ``mode`` is the device mode the run programmed (a plugin's
+    :meth:`~repro.mechanisms.base.LatencyMechanism.device_mode`), and
+    ``mechanism`` the resolved plugin: an active CLR-DRAM or ChargeCache
+    plugin selects that mechanism's independent timing table, a plugin
+    at its disabled point is conventional DRAM, and a plugin the oracle
+    has no table for is refused when the oracle is built.
+    """
+    from repro.verify.rules import OracleConfig
+
+    name = mechanism.name if mechanism is not None else "mcr"
+    if (name == "clr" and not mode.enabled) or (
+        name == "chargecache" and mechanism.capacity == 0
+    ):
+        name = "mcr"
+    extra: dict = {"mechanism": name}
+    if name == "chargecache":
+        extra.update(cc_capacity=mechanism.capacity, cc_window_ns=mechanism.window_ns)
+    flags = mode.mechanisms
+    return OracleConfig(
+        rows_per_bank=geometry.rows_per_bank,
+        rows_per_subarray=geometry.rows_per_subarray,
+        banks_per_rank=geometry.banks_per_rank,
+        ranks_per_channel=geometry.ranks_per_channel,
+        density=geometry.density,
+        k=mode.k,
+        m=mode.m,
+        region_fraction=mode.region_fraction,
+        alt_k=mode.alt_k,
+        alt_m=mode.alt_m,
+        alt_region_fraction=mode.alt_region_fraction,
+        early_access=flags.early_access,
+        early_precharge=flags.early_precharge,
+        fast_refresh=flags.fast_refresh,
+        refresh_skipping=flags.refresh_skipping,
+        **extra,
+    )
+
+
 class ObservabilityHub:
-    """All observability state for one simulation run."""
+    """All observability state for one simulation run.
+
+    ``mechanism`` is the run's resolved latency-mechanism plugin (None
+    means the reference MCR device) and ``refresh_enabled`` whether the
+    run refreshes at all; both configure the protocol oracle.
+    """
 
     def __init__(
         self,
@@ -145,14 +193,13 @@ class ObservabilityHub:
         geometry: DRAMGeometry,
         domain: TimingDomain,
         mode: MCRModeConfig,
+        mechanism: "LatencyMechanism | None" = None,
+        refresh_enabled: bool = True,
     ) -> None:
         self.config = config
         self.geometry = geometry
         self.domain = domain
         self.mode = mode
-        reference = (
-            config.reference_domain if config.reference_domain is not None else domain
-        )
         self.tracer = (
             CommandTracer(max_events=config.max_trace_events) if config.trace else None
         )
@@ -166,20 +213,19 @@ class ObservabilityHub:
             if config.profile
             else None
         )
-        # The constraint model runs whenever gates are needed (tracing)
-        # or checking was asked for; violations are collected either way.
-        self.checker = (
-            InvariantChecker(
-                geometry,
-                reference,
-                mode,
+        # The oracle runs whenever gates are needed (tracing) or checking
+        # was asked for; violations are collected either way. Imported
+        # here so a plain simulation never loads repro.verify.
+        self.checker = None
+        if config.trace or config.invariants:
+            from repro.verify.oracle import ProtocolOracle
+
+            self.checker = ProtocolOracle(
+                oracle_config(geometry, mode, mechanism),
                 channels=geometry.channels,
-                fail_fast=config.fail_fast,
+                refresh_enabled=refresh_enabled,
             )
-            if (config.trace or config.invariants)
-            else None
-        )
-        self._normal_trcd = reference.row_timings(RowClass.NORMAL).t_rcd
+        self._normal_trcd = domain.row_timings(RowClass.NORMAL).t_rcd
         #: (channel, rank, bank) -> ACT cycle, for early-access detection.
         self._last_act: dict[tuple[int, int, int], int] = {}
         self._finalized = False
@@ -196,7 +242,7 @@ class ObservabilityHub:
     ) -> None:
         gate = ""
         if self.checker is not None:
-            gate = self.checker.check(channel, cmd, row_class)
+            gate = self.checker.check(channel, cmd)
         registry = self.registry
         if registry is not None:
             registry.counter("sim.commands", channel=channel, kind=cmd.kind.name).inc()
@@ -258,10 +304,15 @@ class ObservabilityHub:
     # ------------------------------------------------------------------
 
     def finalize(self, controllers: Sequence) -> None:
-        """Fold end-of-run controller counters into the registry."""
-        if self.registry is None or self._finalized:
+        """Close the oracle's refresh audit and fold end-of-run
+        controller counters into the registry (once per run)."""
+        if self._finalized:
             return
         self._finalized = True
+        if self.checker is not None:
+            self.checker.finalize()
+        if self.registry is None:
+            return
         for channel, controller in enumerate(controllers):
             stats = controller.stats()
             self.registry.counter("sim.row_hits", channel=channel).inc(
@@ -285,7 +336,7 @@ class ObservabilityHub:
         return self.profiler.snapshot() if self.profiler is not None else None
 
     @property
-    def violations(self) -> list[Violation]:
+    def violations(self) -> list["OracleViolation"]:
         return self.checker.violations if self.checker is not None else []
 
     @property
@@ -343,4 +394,5 @@ __all__ = [
     "ObservabilityConfig",
     "ObservabilityHub",
     "observe_run",
+    "oracle_config",
 ]

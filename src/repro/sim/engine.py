@@ -66,16 +66,14 @@ class SystemSimulator:
             injection / sensitivity studies).
         wiring: Refresh-counter wiring (the paper's improved wiring by
             default).
-        record_commands: Keep every issued command on each channel's
-            ``command_log`` (golden-trace tests).
         policy: Scheduling policy (FR-FCFS by default).
         row_timing_overrides / trfc_overrides: Replace derived per-class
-            timings on the simulated device while checkers validate
-            against the true table (see :mod:`repro.obs.fuzz` and
+            timings on the simulated device while the protocol oracle
+            keeps checking the paper's values (see
             :mod:`repro.verify.bugs`).
         observability: Observation config; any enabled component —
             including a bare ``command_sink`` tap, which is how the
-            :mod:`repro.verify` oracle attaches — builds the hub and
+            :mod:`repro.verify` fuzzer attaches — builds the hub and
             hooks every controller.
     """
 
@@ -91,7 +89,6 @@ class SystemSimulator:
         idd: IDDParameters | None = None,
         base_timings: BaseTimings | None = None,
         wiring: WiringMethod = WiringMethod.K_TO_N_MINUS_1_K,
-        record_commands: bool = False,
         policy: SchedulingPolicy = SchedulingPolicy.FR_FCFS,
         row_timing_overrides: dict | None = None,
         trfc_overrides: dict | None = None,
@@ -152,13 +149,15 @@ class SystemSimulator:
             )
             for hooks in self.controller_hooks
         ]
-        if record_commands:
-            for controller in self.controllers:
-                controller.channel.command_log = []
         self.obs: ObservabilityHub | None = None
         if observability is not None and observability.enabled:
             self.obs = ObservabilityHub(
-                observability, self.geometry, self.domain, mode
+                observability,
+                self.geometry,
+                self.domain,
+                mode,
+                mechanism=plugin,
+                refresh_enabled=refresh_enabled,
             )
             for ch, controller in enumerate(self.controllers):
                 controller.observer = self.obs.channel_observer(ch)

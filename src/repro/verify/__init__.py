@@ -2,26 +2,27 @@
 config-space fuzzer, and a failure shrinker.
 
 Every mechanism this reproduction models ultimately rests on one
-:class:`repro.dram.timing.TimingDomain` that both the controller and the
-online invariant checker consume — a shared-fate bug there would pass
-every other test. This package closes that gap the way USIMM-class
-simulators are cross-validated (DRAMPower, Ramulator): against a
-from-scratch rule table derived directly from the paper's Table 3 and
-the JEDEC DDR3 values quoted in DESIGN.md.
+:class:`repro.dram.timing.TimingDomain` that the controller and the
+device consume — a shared-fate bug there would pass every other test.
+This package closes that gap the way USIMM-class simulators are
+cross-validated (DRAMPower, Ramulator): against a from-scratch rule
+table derived directly from the paper's Table 3 and the JEDEC DDR3
+values quoted in DESIGN.md. Its :class:`ProtocolOracle` is the
+repository's only timing checker: the observability hub runs it online
+(``ObservabilityConfig(invariants=True)``, and for every traced run's
+gate labels), and mechanism attribution replays through its rules.
 
 Independence contract: nothing in ``repro.verify`` imports
-``repro.dram.timing`` or ``repro.obs.invariants`` (asserted by
-``tests/test_verify_rules.py``). The oracle re-derives row classes,
-programmed timings, tRFC scaling and refresh pacing from its own
-constants, and only ever agrees with the engine because both implement
-the same published protocol.
+``repro.dram.timing`` (asserted by ``tests/test_verify_rules.py``). The
+oracle re-derives row classes, programmed timings, tRFC scaling and
+refresh pacing from its own constants, and only ever agrees with the
+engine because both implement the same published protocol.
 
 Entry points:
 
 - :class:`ProtocolOracle` / :func:`replay_commands` — table-driven
   replay checker for a traced command stream;
-- :mod:`repro.verify.generator` — the seeded config/trace sampler shared
-  with ``repro.obs.fuzz``;
+- :mod:`repro.verify.generator` — the seeded config/trace sampler;
 - :mod:`repro.verify.metamorphic` — full-run equality identities;
 - :func:`shrink_case` — delta-debugging minimizer for failing
   (config, trace) pairs;
@@ -38,7 +39,6 @@ from repro.verify.corpus import (
     write_artifact,
 )
 from repro.verify.generator import (
-    MODES,
     VerifyCase,
     build_spec,
     build_traces,
@@ -73,7 +73,6 @@ __all__ = [
     "CORPUS_SCHEMA_VERSION",
     "DEFAULT_CORPUS_DIR",
     "IDENTITIES",
-    "MODES",
     "OracleConfig",
     "OracleTimings",
     "OracleViolation",

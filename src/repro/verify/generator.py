@@ -1,9 +1,9 @@
 """Seeded config-space and trace sampling — the one source of randomized
-stimuli for both fuzzers.
+stimuli for ``python -m repro.verify``, the repository's fuzz driver.
 
-:mod:`repro.obs.fuzz` (the invariant-checker fuzz step) and
-``python -m repro.verify`` (the differential fuzz step) draw geometries,
-modes and traces from here, so a stimulus-space improvement reaches both.
+Its self-check, metamorphic identities and differential fuzz phases all
+draw geometries, modes and traces from here; the trace builders also
+serve tests and benchmarks that need small random streams.
 
 The unit of sampling is a :class:`VerifyCase`: a plain-data description
 of one (geometry, MCR mode, mechanisms, mapping, policy, trace) tuple.
@@ -29,11 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # imported lazily inside functions. Importing repro.verify must load no
 # simulator module — repro.dram's package init alone pulls in the timing
 # implementation the oracle exists to cross-check.
-
-#: Mode strings the legacy invariant fuzzer samples (kept for
-#: ``repro.obs.fuzz``); :func:`sample_case` draws from the richer
-#: :data:`KM_CHOICES` space instead.
-MODES = ("off", "2/2x/100%reg", "4/4x/100%reg", "2/2x/50%reg")
 
 #: (K, M) pairs the paper publishes timings for (Table 3 columns).
 KM_CHOICES: tuple[tuple[int, int], ...] = (
@@ -538,7 +533,6 @@ __all__ = [
     "CLR_FRACTION_CHOICES",
     "KM_CHOICES",
     "MECHANISM_CHOICES",
-    "MODES",
     "REGION_PCT_CHOICES",
     "VerifyCase",
     "build_spec",

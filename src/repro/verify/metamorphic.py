@@ -13,9 +13,11 @@ The identities:
   conventional DRAM — equal to K=1 in every measured quantity;
 - ``skip-noop``: with M=K there is nothing to skip, so Refresh-Skipping
   on and off are the same machine;
-- ``obs-transparent``: full observability (tracer + metrics + checker +
+- ``obs-transparent``: full observability (tracer + metrics + oracle +
   profiler) must not change the simulated outcome — equal RunResult once
-  the observation payloads themselves are stripped;
+  the observation payloads themselves are stripped; the observed run
+  must also pass the hub's online oracle, and its latency profile must
+  conserve (every request's components sum exactly to its latency);
 - ``column-permutation``: XOR-ing a constant onto every address's column
   bits permutes cache lines within rows and nothing else, so every
   aggregate statistic is unchanged;
@@ -164,15 +166,35 @@ def _skip_noop(rng: random.Random) -> str | None:
 
 
 def _obs_transparent(rng: random.Random) -> str | None:
-    from repro.obs.hub import ObservabilityConfig
+    from repro.obs.hub import ObservabilityConfig, observe_run
 
     case = sample_case(rng)
-    observed = run_case(
-        case,
-        observability=ObservabilityConfig(
+    observed, hub = observe_run(
+        build_traces(case),
+        case.mode(),
+        spec=build_spec(case),
+        config=ObservabilityConfig(
             trace=True, metrics=True, invariants=True, profile=True
         ),
+        max_cycles=case.max_cycles,
     )
+    if not hub.clean:
+        return (
+            f"hub oracle flagged the observed run (seed={case.seed}): "
+            f"{hub.violations[0]}"
+        )
+    # Profiler conservation: every request's components, and the run's
+    # component totals, sum exactly to the end-to-end latency.
+    profiler = hub.profiler
+    broken = [p for p in profiler.profiles if not p.conserved]
+    if broken or not profiler.conserved:
+        detail = (
+            f"req {broken[0].req_id} latency {broken[0].latency} "
+            f"components {broken[0].components}"
+            if broken
+            else f"totals {profiler.totals} vs latency {profiler.latency_total}"
+        )
+        return f"profile conservation violated (seed={case.seed}): {detail}"
     bare = run_case(case)
     return _diff(
         f"observability changed the run (seed={case.seed})",

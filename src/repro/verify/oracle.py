@@ -13,16 +13,21 @@ independent rule tables in :mod:`repro.verify.rules`:
   paper's 64 ms / M per-cell rule, projected onto a finite run — tREFI
   accrual with at most 8 postponed slots, the issued-command fraction
   implied by the refresh mix, and (for runs covering full windows) the
-  exact per-window issued count.
+  per-window issued count.
 
-It shares *no* timing code with ``repro.dram.timing`` or
-``repro.obs.invariants``; the shadow state below is written against the
-rule-table interface, not against any simulator structure. Commands are
-read duck-typed — anything with ``cycle``, ``kind.name``, ``rank``,
-``bank``, ``row`` fields — so this module (like the rule tables) loads
-without a single simulator module; the real
-:class:`repro.dram.commands.Command` objects only arrive through the tap
-at run time.
+It shares *no* timing code with ``repro.dram.timing``; the shadow state
+below is written against the rule-table interface, not against any
+simulator structure. It is the repository's only timing checker: the
+observability hub runs it online (behind ``invariants`` and ``trace``;
+a traced command's gate label is :meth:`ProtocolOracle.check`'s return
+value), the differential fuzzer attaches it through the command tap,
+and :mod:`repro.obs.attribution` replays recorded streams through
+:class:`ChannelShadow` and the spacing rules under counterfactual
+configurations. Commands are read duck-typed — anything with ``cycle``,
+``kind.name``, ``rank``, ``bank``, ``row`` fields — so this module
+(like the rule tables) loads without a single simulator module; the
+real :class:`repro.dram.commands.Command` objects only arrive through
+the tap at run time.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.verify.rules import (
+    COMMAND_KINDS,
     cycles,
     MAX_POSTPONED_REFRESHES,
     SLOTS_PER_WINDOW,
@@ -52,9 +58,32 @@ from repro.verify.rules import (
 _PACING_SLACK_SLOTS: int = 1
 
 #: Rounding slack (slots) when converting served-slot bounds to issued
-#: commands through the spread mix fraction (the interleave guarantees
-#: each kind stays within floor/ceil of its fair share per prefix).
+#: commands through the spread mix fraction. The interleave keeps each
+#: kind at most the ceiling and at least one below the floor of its fair
+#: share per prefix (floor - 1, not floor, for arbitrary mixes). Skipped
+#: slots are a single kind, so after n served slots the issued count
+#: lies in [floor(n*f), ceil(n*f) + 1] for issued fraction f: a skip
+#: kind one slot behind its floor puts the issued count one slot over
+#: its ceiling, and the second slot absorbs float rounding of n*f.
 _MIX_SLACK_SLOTS: int = 2
+
+#: Gate label for a command that issued later than every applicable
+#: bound allowed — the scheduler or request arrival, not a timing
+#: constraint, delayed it.
+GATE_QUEUE = "queue"
+#: Gate label for a command with no applicable constraint history.
+GATE_READY = "ready"
+
+#: Spacing and structural rules by the command kind they apply to
+#: (table order kept).
+_SPACING_BY_KIND: dict[str, tuple] = {
+    kind: tuple(rule for rule in SPACING_RULES if kind in rule.applies_to)
+    for kind in COMMAND_KINDS
+}
+_STRUCTURAL_BY_KIND: dict[str, tuple] = {
+    kind: tuple(rule for rule in STRUCTURAL_RULES if kind in rule.applies_to)
+    for kind in COMMAND_KINDS
+}
 
 
 @dataclass(frozen=True)
@@ -106,7 +135,7 @@ class _RankShadow:
     refs_issued: int = 0
 
 
-class _ChannelShadow:
+class ChannelShadow:
     """One channel's shadow state, exposing exactly the queries the rule
     tables call (the rule/state interface the module docstring names)."""
 
@@ -265,6 +294,15 @@ class _ChannelShadow:
             rank.refs_issued += 1
 
 
+def spacing_bounds(shadow: ChannelShadow, cmd, timings: OracleTimings):
+    """``(rule name, earliest legal cycle)`` for every spacing rule whose
+    history applies to ``cmd``, in table order."""
+    for rule in _SPACING_BY_KIND[cmd.kind.name]:
+        bound = rule.bound(shadow, cmd, timings)
+        if bound is not None:
+            yield rule.name, bound
+
+
 class ProtocolOracle:
     """Replays a command stream against the independent rule tables.
 
@@ -286,7 +324,7 @@ class ProtocolOracle:
         self.timings = oracle_timings(config)
         self.refresh_enabled = refresh_enabled
         self._shadows = [
-            _ChannelShadow(config, self.timings) for _ in range(channels)
+            ChannelShadow(config, self.timings) for _ in range(channels)
         ]
         self._issued_fraction = issued_refresh_fraction(config)
         self.commands = 0
@@ -299,30 +337,42 @@ class ProtocolOracle:
 
     # ------------------------------------------------------------------
 
-    def check(self, channel: int, cmd) -> None:
-        """Validate one command, then fold it into the shadow state."""
+    def check(self, channel: int, cmd) -> str:
+        """Validate one command, fold it into the shadow state, and
+        return its gate label.
+
+        The label names the rule whose bound made ``cmd.cycle`` the
+        earliest legal issue cycle (the first in table order among tied
+        bounds), :data:`GATE_QUEUE` when the command issued later than
+        every bound allowed, or :data:`GATE_READY` when no rule's
+        history applied.
+        """
         kind = cmd.kind.name
         if kind == "MRS":
             # Mode-register traffic carries no bank/row state; it only
             # occupies the command bus, which the next command's
             # command-bus rule sees through last_cmd_cycle.
             self._shadows[channel].last_cmd_cycle = cmd.cycle
-            return
+            return GATE_READY
         shadow = self._shadows[channel]
         self.commands += 1
         self._last_cycle[channel] = cmd.cycle
-        for rule in STRUCTURAL_RULES:
-            if kind in rule.applies_to and rule.violated(shadow, cmd):
+        for rule in _STRUCTURAL_BY_KIND[kind]:
+            if rule.violated(shadow, cmd):
                 self._flag(channel, rule.name, cmd, None)
-        for rule in SPACING_RULES:
-            if kind not in rule.applies_to:
-                continue
-            bound = rule.bound(shadow, cmd, self.timings)
-            if bound is not None and cmd.cycle < bound:
-                self._flag(channel, rule.name, cmd, bound)
+        gate = GATE_READY
+        earliest = None
+        for name, bound in spacing_bounds(shadow, cmd, self.timings):
+            if cmd.cycle < bound:
+                self._flag(channel, name, cmd, bound)
+            if earliest is None or bound > earliest:
+                gate, earliest = name, bound
+        if earliest is not None and cmd.cycle > earliest:
+            gate = GATE_QUEUE
         if kind == "REFRESH" and self.refresh_enabled:
             self._check_refresh_pacing(channel, cmd)
         shadow.observe(cmd)
+        return gate
 
     def _flag(self, channel: int, rule: str, cmd, required: int | None) -> None:
         self.violations.append(
@@ -362,9 +412,10 @@ class ProtocolOracle:
         Every rank must have been refreshed often enough: by the last
         observed cycle, at most 8 slots (plus forced-issue slack) may
         remain unserved, and of the served slots the issued-command
-        share follows the refresh mix. Per full 64 ms window the issued
-        count must match the mix exactly (long runs only; short runs are
-        bounded by the prefix fairness of the interleave).
+        share follows the refresh mix to within :data:`_MIX_SLACK_SLOTS`
+        (the interleave's prefix bound is floor - 1 to ceil per kind,
+        not exact floor/ceil). Per full 64 ms window the issued count
+        must match the mix to within 2% plus 16 slots (long runs only).
         """
         if not self.refresh_enabled:
             return
@@ -434,8 +485,8 @@ def run_case_with_oracle(case, bug: str | None = None):
     of the synthetic timing bugs (:mod:`repro.verify.bugs`) into the
     simulated device; the oracle still checks the paper's truth.
     """
-    # Imported here: generator -> core.api -> sim.engine -> obs.hub; a
-    # module-level import would be circular for the obs.fuzz consumer.
+    # Imported here: obs.hub loads the simulator, which importing
+    # repro.verify must never do.
     from repro.obs.hub import ObservabilityConfig, observe_run
     from repro.verify.bugs import apply_bug
     from repro.verify.generator import build_spec, build_traces
@@ -465,8 +516,12 @@ def run_case_with_oracle(case, bug: str | None = None):
 
 
 __all__ = [
+    "ChannelShadow",
+    "GATE_QUEUE",
+    "GATE_READY",
     "OracleViolation",
     "ProtocolOracle",
     "replay_commands",
     "run_case_with_oracle",
+    "spacing_bounds",
 ]

@@ -23,10 +23,9 @@ re-states, as data:
   numbers are written down twice on purpose (pipeline independence).
 
 Independence contract: this module must not import
-``repro.dram.timing`` or ``repro.obs.invariants`` (or anything that
-transitively supplies their derived numbers — ``repro.dram``'s package
-init pulls the timing model in, so nothing from ``repro.dram`` may load
-here at all). Commands are identified by their *kind names* ("ACTIVATE",
+``repro.dram.timing`` (or anything that transitively supplies its
+derived numbers — ``repro.dram``'s package init pulls the timing model
+in, so nothing from ``repro.dram`` may load here at all). Commands are identified by their *kind names* ("ACTIVATE",
 "READ", ...), the protocol's vocabulary, rather than by the simulator's
 enum objects; the oracle reads ``cmd.kind.name`` at the tap boundary.
 """
@@ -413,7 +412,10 @@ def _rank(state, cmd):
 
 
 SPACING_RULES: tuple[SpacingRule, ...] = (
-    # -- channel scope ---------------------------------------------------
+    # Order is significant: the gate label names the *first* rule among
+    # those tied at the largest bound, so rules are listed as the
+    # command-bus and refresh guards, then the ACTIVATE, column and
+    # PRECHARGE families, then the REFRESH precharge guard.
     SpacingRule(
         "command-bus",
         _ALL,
@@ -423,19 +425,28 @@ SPACING_RULES: tuple[SpacingRule, ...] = (
         else s.last_cmd_cycle + 1,
     ),
     SpacingRule(
-        "data-bus",
-        _COL,
-        "channel",
-        lambda s, cmd, t: s.data_bus_bound(cmd, t),
-    ),
-    # -- rank scope ------------------------------------------------------
-    SpacingRule(
         "tRFC",
         _ALL,
         "rank",
         lambda s, cmd, t: None
         if _rank(s, cmd).ref_cycle is None
         else _rank(s, cmd).ref_cycle + _rank(s, cmd).ref_trfc,
+    ),
+    SpacingRule(
+        "tRC",
+        _ACT,
+        "bank",
+        lambda s, cmd, t: None
+        if _bank(s, cmd).act_cycle is None
+        else _bank(s, cmd).act_cycle + t.trc[_bank(s, cmd).act_kind],
+    ),
+    SpacingRule(
+        "tRP",
+        _ACT,
+        "bank",
+        lambda s, cmd, t: None
+        if _bank(s, cmd).pre_cycle is None
+        else _bank(s, cmd).pre_cycle + t.base["tRP"],
     ),
     SpacingRule(
         "tRRD",
@@ -452,6 +463,14 @@ SPACING_RULES: tuple[SpacingRule, ...] = (
         lambda s, cmd, t: None
         if len(_rank(s, cmd).act_cycles) < 4
         else _rank(s, cmd).act_cycles[0] + t.base["tFAW"],
+    ),
+    SpacingRule(
+        "tRCD",
+        _COL,
+        "bank",
+        lambda s, cmd, t: None
+        if _bank(s, cmd).act_cycle is None or _bank(s, cmd).open_row is None
+        else _bank(s, cmd).act_cycle + t.trcd[_bank(s, cmd).act_kind],
     ),
     SpacingRule(
         "tCCD",
@@ -473,35 +492,10 @@ SPACING_RULES: tuple[SpacingRule, ...] = (
         + t.base["tWTR"],
     ),
     SpacingRule(
-        "tRP-before-REF",
-        _REF,
-        "rank",
-        lambda s, cmd, t: s.latest_pre_bound(cmd.rank, t),
-    ),
-    # -- bank scope ------------------------------------------------------
-    SpacingRule(
-        "tRP",
-        _ACT,
-        "bank",
-        lambda s, cmd, t: None
-        if _bank(s, cmd).pre_cycle is None
-        else _bank(s, cmd).pre_cycle + t.base["tRP"],
-    ),
-    SpacingRule(
-        "tRC",
-        _ACT,
-        "bank",
-        lambda s, cmd, t: None
-        if _bank(s, cmd).act_cycle is None
-        else _bank(s, cmd).act_cycle + t.trc[_bank(s, cmd).act_kind],
-    ),
-    SpacingRule(
-        "tRCD",
+        "data-bus",
         _COL,
-        "bank",
-        lambda s, cmd, t: None
-        if _bank(s, cmd).act_cycle is None or _bank(s, cmd).open_row is None
-        else _bank(s, cmd).act_cycle + t.trcd[_bank(s, cmd).act_kind],
+        "channel",
+        lambda s, cmd, t: s.data_bus_bound(cmd, t),
     ),
     SpacingRule(
         "tRAS",
@@ -522,6 +516,12 @@ SPACING_RULES: tuple[SpacingRule, ...] = (
         _PRE,
         "bank",
         lambda s, cmd, t: s.read_to_precharge_bound(cmd, t),
+    ),
+    SpacingRule(
+        "tRP-before-REF",
+        _REF,
+        "rank",
+        lambda s, cmd, t: s.latest_pre_bound(cmd.rank, t),
     ),
 )
 

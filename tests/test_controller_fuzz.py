@@ -2,8 +2,9 @@
 
 No cores involved: requests are injected at random arrival cycles and the
 controller is driven to completion. Afterwards we assert every request
-was serviced and the recorded command stream passes the independent
-timing audit — under every scheduling policy and several MCR modes.
+was serviced and the issued command stream passed the protocol oracle,
+attached online through an observability hub — under every scheduling
+policy and several MCR modes.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from repro.dram.config import single_core_geometry
 from repro.dram.mcr import MCRGenerator, MCRModeConfig
 from repro.dram.refresh import RefreshPlan
 from repro.dram.timing import TimingDomain
-from repro.sim.audit import audit_commands
+from repro.obs import ObservabilityConfig, ObservabilityHub
 
 
 def build_controller(mode, policy, refresh=True):
@@ -30,8 +31,11 @@ def build_controller(mode, policy, refresh=True):
         refresh_enabled=refresh,
         policy=policy,
     )
-    controller.channel.command_log = []
-    return controller, geometry, domain
+    hub = ObservabilityHub(
+        ObservabilityConfig(invariants=True), geometry, domain, mode
+    )
+    controller.observer = hub.channel_observer(0)
+    return controller, hub
 
 
 @st.composite
@@ -114,21 +118,19 @@ class TestControllerFuzz:
             "4/4x": MCRModeConfig(k=4, m=4, region_fraction=1.0),
             "2/4x-50": MCRModeConfig(k=4, m=2, region_fraction=0.5),
         }[mode_key]
-        controller, geometry, domain = build_controller(mode, policy)
+        controller, hub = build_controller(mode, policy)
         reads_in = sum(1 for r in stream if not r["is_write"])
         served = drive(controller, stream)
         assert served == reads_in
         assert controller.outstanding() == 0
-        report = audit_commands(
-            controller.channel.command_log, geometry, domain, mode
-        )
-        assert report.clean, [str(v) for v in report.violations[:5]]
+        assert hub.checker.commands > 0
+        assert hub.clean, [str(v) for v in hub.violations[:5]]
 
     @settings(max_examples=10, deadline=None)
     @given(request_streams())
     def test_fcfs_completion_order_matches_arrival(self, stream):
         """Under FCFS, reads complete in arrival order."""
-        controller, _, _ = build_controller(
+        controller, _ = build_controller(
             MCRModeConfig.off(), SchedulingPolicy.FCFS, refresh=False
         )
         order = []

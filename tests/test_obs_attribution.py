@@ -8,11 +8,15 @@ geometry, collision-free allocation, mechanisms toggled via
 :class:`~repro.dram.mcr.MechanismSet`).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.api import SystemSpec, run_system
 from repro.core.mcr_mode import MCRMode
 from repro.dram.mcr import MechanismSet
+from repro.mechanisms import MechanismSpec
 from repro.obs import (
     MECHANISMS,
     ObservabilityConfig,
@@ -20,6 +24,7 @@ from repro.obs import (
     format_attribution,
     observe_run,
 )
+from repro.obs.attribution import attribute_plugin
 from repro.workloads import make_trace
 
 _ALL_OFF = MechanismSet(
@@ -72,8 +77,8 @@ class TestReconciliation:
         assert measured_pct <= att["improvement_pct"]["upper"] + 2.0
 
     def test_self_check_clean(self):
-        """Replaying the trace under its own domain reproduces it exactly
-        — the invariant checker already validated every bound."""
+        """Replaying the trace under its own configuration reproduces it
+        exactly — the oracle already accepted every bound as it issued."""
         traces = [make_trace("libq", n_requests=200, seed=1)]
         _, hub = _observed_mcr_run(traces)
         att = attribute_mechanisms(hub)
@@ -134,3 +139,58 @@ class TestErrors:
         )
         with pytest.raises(ValueError, match="trace"):
             attribute_mechanisms(hub)
+
+
+def _digest(snapshot: dict) -> str:
+    canonical = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+class TestSnapshotsPinned:
+    """Attribution snapshots are pinned by digest: they were recorded
+    from the replay built on the simulator's own timing domain, and the
+    replay on the protocol oracle's shadow state and spacing rules must
+    reproduce every makespan, bucket and per-column delay exactly."""
+
+    @pytest.mark.parametrize(
+        "workload,n,seed,mechanisms,refresh_counts,expected",
+        [
+            ("comm2", 300, 0, MechanismSet(refresh_skipping=False), None,
+             "00977b515da29653"),
+            ("libq", 200, 1, MechanismSet(refresh_skipping=False), None,
+             "8e36d33b7e8c8f06"),
+            ("comm2", 200, 2, MechanismSet(refresh_skipping=False), None,
+             "b148b82d84b16475"),
+            ("comm2", 200, 3, MechanismSet(), None, "5aa309442e6d7b6b"),
+            ("comm2", 150, 4, MechanismSet(refresh_skipping=False),
+             {"skipped": 5}, "3fcbe142014f9778"),
+        ],
+        ids=["comm2-0", "libq-1", "comm2-2", "comm2-3-rs", "comm2-4-counts"],
+    )
+    def test_mechanism_attribution_digest(
+        self, workload, n, seed, mechanisms, refresh_counts, expected
+    ):
+        traces = [make_trace(workload, n_requests=n, seed=seed)]
+        _, hub = _observed_mcr_run(traces, mechanisms=mechanisms)
+        att = attribute_mechanisms(hub, refresh_counts=refresh_counts)
+        assert _digest(att) == expected
+
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (MechanismSpec.make("clr", fraction_pct=100), "566d1d356da93c8e"),
+            (
+                MechanismSpec.make("chargecache", capacity=16, window_ns=200_000.0),
+                "506e9b4439b8e0b1",
+            ),
+        ],
+        ids=["clr", "chargecache"],
+    )
+    def test_plugin_attribution_digest(self, spec, expected):
+        _, hub = observe_run(
+            [make_trace("comm2", 200, seed=7)],
+            MCRMode.off(),
+            spec=SystemSpec(mechanism=spec),
+            config=ObservabilityConfig(trace=True),
+        )
+        assert _digest(attribute_plugin(hub)) == expected

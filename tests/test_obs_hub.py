@@ -1,9 +1,23 @@
 """Edge-case tests for the observability hub and channel observers."""
 
+import random
+import subprocess
+import sys
+
+import pytest
+
+from repro.core.api import SystemSpec
 from repro.core.mcr_mode import MCRMode
 from repro.dram.config import single_core_geometry
 from repro.dram.timing import TimingDomain
 from repro.obs import ObservabilityConfig, ObservabilityHub, observe_run
+from repro.verify.generator import (
+    VerifyCase,
+    build_spec,
+    build_traces,
+    fuzz_geometry,
+    sample_case,
+)
 from repro.workloads import make_trace
 
 
@@ -40,7 +54,7 @@ class TestDisabledComponents:
     def test_trace_only_hub_skips_metrics_paths(self):
         hub = _hub(ObservabilityConfig(trace=True))
         assert hub.registry is None
-        assert hub.checker is not None  # gates need the constraint model
+        assert hub.checker is not None  # gates need the protocol oracle
         hub.channel_observer(0).on_enqueue(_FakeRequest(), 1, 0, open_row=5)
         assert hub.metrics_snapshot() is None
 
@@ -59,10 +73,7 @@ class TestMultiChannelIsolation:
         assert arrivals == {"0": 1, "1": 2}
 
     def test_observed_multichannel_run_isolates_channels(self):
-        import random
-
-        from repro.core.api import SystemSpec
-        from repro.obs.fuzz import fuzz_geometry, random_trace
+        from repro.verify.generator import random_trace
 
         geometry = fuzz_geometry(channels=2)
         traces = [random_trace(random.Random(21), geometry, 120)]
@@ -99,3 +110,71 @@ class TestFinalize:
         hub.finalize(controllers=[])
         hub.finalize(controllers=[])
         assert hub.metrics_snapshot() is None
+
+
+def _sampled_cases():
+    """Sampled cases covering each mechanism, plus the disabled points
+    of both plugins (which the oracle must treat as plain DRAM)."""
+    rng = random.Random(14)
+    by_mechanism: dict[str, list[VerifyCase]] = {}
+    while any(len(by_mechanism.get(m, [])) < 4 for m in ("mcr", "clr", "chargecache")):
+        case = sample_case(rng)
+        by_mechanism.setdefault(case.mechanism, []).append(case)
+    cases = [case for group in by_mechanism.values() for case in group[:4]]
+    plain = cases[0]
+    cases.append(VerifyCase(seed=plain.seed, mechanism="clr", clr_fraction_pct=0.0))
+    cases.append(
+        VerifyCase(
+            seed=plain.seed, mechanism="chargecache", cc_capacity=0, cc_window_ns=5e4
+        )
+    )
+    return cases
+
+
+class TestOracleAdapter:
+    """The hub configures its oracle from the simulator's device mode and
+    plugin; the differential fuzzer configures one from the case
+    description. Both routes must describe the same device."""
+
+    @pytest.mark.parametrize(
+        "case",
+        _sampled_cases(),
+        ids=lambda case: f"{case.mechanism}-{case.seed}",
+    )
+    def test_hub_config_matches_case(self, case):
+        from repro.sim.engine import SystemSimulator
+
+        spec = build_spec(case)
+        simulator = SystemSimulator(
+            build_traces(case),
+            case.mode().config,
+            geometry=spec.geometry,
+            refresh_enabled=spec.refresh_enabled,
+            observability=ObservabilityConfig(invariants=True),
+            mechanism=spec.mechanism,
+        )
+        assert simulator.obs.checker.config == case.oracle_config()
+        assert simulator.obs.checker.refresh_enabled == case.refresh_enabled
+
+    def test_engine_import_does_not_load_verify(self):
+        """The hub imports repro.verify lazily: a plain simulation must
+        not pay for loading the oracle package."""
+        code = (
+            "import sys, repro.sim.engine; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.verify')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_finalize_runs_refresh_audit_without_registry(self):
+        """finalize closes the oracle's end-of-run audit even when no
+        metrics registry was collected."""
+        hub = _hub(ObservabilityConfig(invariants=True))
+        calls = []
+        hub.checker.finalize = lambda: calls.append(1)
+        hub.finalize(controllers=[])
+        hub.finalize(controllers=[])
+        assert calls == [1]
+

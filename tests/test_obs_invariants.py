@@ -1,8 +1,11 @@
-"""Unit and end-to-end tests for the online invariant checker."""
+"""Unit and end-to-end tests for online invariant checking.
+
+``ObservabilityConfig(invariants=True)`` runs the protocol oracle on every
+command the simulator issues; the oracle also labels each traced command
+with the rule that gated it.
+"""
 
 import random
-
-import pytest
 
 from repro.core.api import SystemSpec
 from repro.core.mcr_mode import MCRMode
@@ -10,21 +13,14 @@ from repro.dram.commands import Command, CommandType
 from repro.dram.config import DRAMGeometry
 from repro.dram.mcr import RowClass
 from repro.dram.timing import TimingDomain
-from repro.obs import (
+from repro.obs import ObservabilityConfig, observe_run
+from repro.obs.hub import oracle_config
+from repro.verify.generator import fuzz_geometry, miss_heavy_trace
+from repro.verify.oracle import (
     GATE_QUEUE,
     GATE_READY,
-    InvariantChecker,
-    InvariantError,
-    ObservabilityConfig,
-    observe_run,
-)
-from repro.obs.fuzz import (
-    corrupted_trcd_overrides,
-    fuzz_geometry,
-    main as fuzz_main,
-    miss_heavy_trace,
-    run_clean_iteration,
-    run_corrupted_iteration,
+    ProtocolOracle,
+    replay_commands,
 )
 
 
@@ -40,12 +36,13 @@ def _geometry():
     )
 
 
-def _checker(fail_fast=False):
+def _checker():
+    """The oracle the hub builds for a conventional run on this device."""
     geometry = _geometry()
-    domain = TimingDomain(geometry, MCRMode.off().config)
-    return InvariantChecker(
-        geometry, domain, MCRMode.off().config, fail_fast=fail_fast
-    ), domain
+    mode = MCRMode.off().config
+    config = oracle_config(geometry, mode)
+    oracle = ProtocolOracle(config, channels=1, refresh_enabled=False)
+    return oracle, TimingDomain(geometry, mode)
 
 
 def _act(cycle, row=5, rank=0, bank=0):
@@ -87,44 +84,38 @@ class TestConstraintGates:
         checker.check(0, _read(100 + t_rcd - 1))
         assert not checker.clean
         violation = checker.violations[0]
-        assert violation.constraint == "tRCD"
+        assert violation.rule == "tRCD"
         assert violation.required_cycle == 100 + t_rcd
         assert "tRCD" in str(violation)
 
     def test_column_to_closed_bank_is_structural(self):
         checker, _ = _checker()
         checker.check(0, _read(500))
-        assert [v.constraint for v in checker.violations] == [
-            "column-to-closed-bank"
-        ]
+        assert [v.rule for v in checker.violations] == ["column-to-closed-bank"]
 
     def test_activate_open_bank_is_structural(self):
         checker, _ = _checker()
         checker.check(0, _act(0, row=1))
         checker.check(0, _act(1000, row=2))
-        assert "ACT-to-open-bank" in [v.constraint for v in checker.violations]
+        assert "ACT-to-open-bank" in [v.rule for v in checker.violations]
 
     def test_command_bus_conflict(self):
         checker, _ = _checker()
         checker.check(0, _act(100, bank=0))
         checker.check(0, _act(100, bank=1, row=9))
-        assert "command-bus" in [v.constraint for v in checker.violations]
-
-    def test_fail_fast_raises(self):
-        checker, _ = _checker(fail_fast=True)
-        with pytest.raises(InvariantError, match="column-to-closed-bank"):
-            checker.check(0, _read(10))
+        assert "command-bus" in [v.rule for v in checker.violations]
 
     def test_check_log_replays(self):
         checker, domain = _checker()
         t_rcd = domain.row_timings(RowClass.NORMAL).t_rcd
-        log = [_act(0), _read(t_rcd)]
-        assert checker.check_log(log) == []
-        assert checker.commands == 2
+        log = [(0, _act(0)), (0, _read(t_rcd))]
+        assert replay_commands(log, checker.config, refresh_enabled=False) == []
 
 
 class TestObservedRuns:
     def test_clean_run_has_no_violations(self):
+        """Full observability runs the oracle on every issued command and
+        labels the trace with its gates."""
         rng = random.Random(11)
         geometry = fuzz_geometry(channels=1)
         result, hub = observe_run(
@@ -134,40 +125,51 @@ class TestObservedRuns:
             config=ObservabilityConfig.full(),
         )
         assert result.reads == 80
-        assert hub.clean
+        assert hub.clean, [str(v) for v in hub.violations[:3]]
         assert hub.checker.commands > 160  # ACT + RD per miss, at least
         assert len(hub.tracer) == hub.checker.commands
         gates = {event.gate for event in hub.tracer.events}
         assert gates - {GATE_READY, GATE_QUEUE}, "no timing-gated commands?"
 
     def test_corrupted_trcd_detected(self):
-        """The acceptance criterion: a deliberately corrupted device tRCD
-        must surface as checker violations when validating against an
-        independently derived reference domain."""
-        rng = random.Random(7)
-        geometry = fuzz_geometry(channels=1)
-        mode = MCRMode.off()
-        true_domain = TimingDomain(geometry, mode.config)
+        """The hub's oracle checks the paper's values, not the device's:
+        a shaved device tRCD surfaces as violations with no reference
+        table handed to the hub."""
+        from repro.verify.bugs import apply_bug, bug_case
+        from repro.verify.generator import build_spec, build_traces
+
+        case = bug_case("shaved-trcd")
         _, hub = observe_run(
-            [miss_heavy_trace(rng, geometry, 120)],
-            mode,
-            spec=SystemSpec(geometry=geometry),
-            config=ObservabilityConfig(
-                invariants=True, reference_domain=true_domain
-            ),
-            row_timing_overrides=corrupted_trcd_overrides(true_domain),
+            build_traces(case),
+            case.mode(),
+            spec=build_spec(case),
+            config=ObservabilityConfig(invariants=True),
+            max_cycles=case.max_cycles,
+            **apply_bug(case, "shaved-trcd"),
         )
-        assert any(v.constraint == "tRCD" for v in hub.violations)
+        assert "tRCD" in [v.rule for v in hub.violations]
 
-    def test_fuzz_iterations(self):
+    def test_fuzz_iterations(self, tmp_path):
+        """One differential fuzz iteration and one fully observed run
+        (transparent, profile-conserving, oracle-clean) both behave."""
+        from repro.verify.cli import run_fuzz_iteration
+        from repro.verify.metamorphic import check_identity
+
         rng = random.Random(3)
-        assert run_clean_iteration(rng) == []
-        assert run_corrupted_iteration(rng) == []
+        assert run_fuzz_iteration(rng, tmp_path, 0) == []
+        assert check_identity("obs-transparent", rng) is None
+        assert list(tmp_path.iterdir()) == []
 
-    def test_fuzz_main_smoke(self, capsys):
-        # --seconds 0 still runs one clean and one corrupted iteration.
-        assert fuzz_main(["--seconds", "0", "--seed", "1"]) == 0
-        assert "2 iterations, 0 failures" in capsys.readouterr().out
+    def test_fuzz_main_smoke(self, capsys, tmp_path):
+        from repro.verify.cli import main as fuzz_main
+
+        # --seconds 0 still runs one fuzz iteration.
+        argv = [
+            "--seconds", "0", "--seed", "1", "--identities", "0",
+            "--skip-self-check", "--no-batch", "--artifact-dir", str(tmp_path),
+        ]
+        assert fuzz_main(argv) == 0
+        assert "fuzz: 1 iterations, 0 failures" in capsys.readouterr().out
 
 
 class TestMetricsFromRuns:

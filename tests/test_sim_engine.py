@@ -1,4 +1,4 @@
-"""Integration tests: full system simulations with online invariants."""
+"""Integration tests: full system simulations checked online by the oracle."""
 
 import pytest
 
@@ -67,9 +67,8 @@ class TestMCRSpeedup:
 
 
 class TestOnlineInvariants:
-    """The online checker validates every command as it issues — the
-    same property the post-hoc ``sim.audit`` replay asserts, but without
-    recording the command log first."""
+    """The hub's protocol oracle validates every command as it issues,
+    against the paper's timing tables rather than the simulator's."""
 
     @pytest.mark.parametrize(
         "mode_text,mech",

@@ -12,7 +12,6 @@ import pytest
 
 from repro.verify.generator import (
     KM_CHOICES,
-    MODES,
     VerifyCase,
     build_spec,
     build_traces,
@@ -53,19 +52,6 @@ class TestSampler:
             capacity = case.geometry().capacity_bytes
             for trace in build_traces(case):
                 assert all(0 <= e.address < capacity for e in trace.entries)
-
-    def test_modes_tuple_kept_for_obs_fuzz(self):
-        assert MODES == ("off", "2/2x/100%reg", "4/4x/100%reg", "2/2x/50%reg")
-
-    def test_obs_fuzz_imports_from_generator(self):
-        """Satellite contract: one source of randomized stimuli."""
-        from repro.obs import fuzz as obs_fuzz
-        from repro.verify import generator
-
-        assert obs_fuzz.fuzz_geometry is generator.fuzz_geometry
-        assert obs_fuzz.random_trace is generator.random_trace
-        assert obs_fuzz.miss_heavy_trace is generator.miss_heavy_trace
-        assert obs_fuzz.MODES is generator.MODES
 
     def test_fuzz_geometry_is_small(self):
         geometry = fuzz_geometry()

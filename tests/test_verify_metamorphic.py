@@ -69,3 +69,23 @@ class TestMachinery:
         slow = run_case(replace(base, k=1, m=1, region_pct=0.0))
         assert _diff("modes differ", fast, slow) is not None
         assert _diff("same", fast, fast) is None
+
+    def test_obs_transparent_reports_broken_conservation(self, monkeypatch):
+        """The identity asserts profiler conservation: a profile whose
+        components do not sum to its latency is reported."""
+        from repro.obs.profiler import RequestProfile
+
+        monkeypatch.setattr(RequestProfile, "conserved", property(lambda self: False))
+        mismatch = check_identity("obs-transparent", random.Random(3))
+        assert mismatch is not None and "profile conservation" in mismatch
+
+    def test_obs_transparent_reports_hub_violations(self, monkeypatch):
+        """The identity also fails when the hub's online oracle flags
+        the observed run."""
+        from repro.obs.hub import ObservabilityHub
+
+        monkeypatch.setattr(
+            ObservabilityHub, "violations", property(lambda self: ["fake"])
+        )
+        mismatch = check_identity("obs-transparent", random.Random(3))
+        assert mismatch is not None and "hub oracle flagged" in mismatch

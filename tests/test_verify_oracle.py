@@ -10,7 +10,12 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.verify.oracle import ProtocolOracle, replay_commands
+from repro.verify.oracle import (
+    GATE_QUEUE,
+    GATE_READY,
+    ProtocolOracle,
+    replay_commands,
+)
 from repro.verify.rules import DDR3_1600_CYCLES, OracleConfig, RowKind, oracle_timings
 
 
@@ -177,6 +182,17 @@ class TestSpacingRules:
         ]
         assert "tRTP" in rules_of(replay(stream))
 
+    def test_trp_before_ref(self):
+        """REFRESH must wait tRP after the rank's last precharge."""
+        stream = [
+            cmd(0, "ACTIVATE", row=7),
+            cmd(TRAS, "PRECHARGE"),
+            cmd(TRAS + TRP - 1, "REFRESH", bank=-1, row=TRFC_1GB),
+        ]
+        violations = replay(stream)
+        assert rules_of(violations) == ["tRP-before-REF"]
+        assert violations[0].required_cycle == TRAS + TRP
+
     def test_command_bus(self):
         stream = [cmd(5, "ACTIVATE", bank=0, row=1), cmd(5, "ACTIVATE", bank=1, row=1)]
         assert "command-bus" in rules_of(replay(stream))
@@ -199,6 +215,80 @@ class TestSpacingRules:
         ]
         violations = replay(stream, ranks_per_channel=2)
         assert "data-bus" in rules_of(violations)
+
+
+def _read_pair_stream():
+    """Two back-to-back reads on one rank whose tCCD and data-bus bounds
+    coincide (tCCD = tBURST under DDR3-1600)."""
+    t = DDR3_1600_CYCLES
+    first_read = t["tRRD"] + TRCD
+    return [
+        cmd(0, "ACTIVATE", bank=0, row=7),
+        cmd(t["tRRD"], "ACTIVATE", bank=1, row=7),
+        cmd(first_read, "READ", bank=0, row=7),
+        cmd(first_read + t["tCCD"], "READ", bank=1, row=7),
+    ]
+
+
+#: Hand-built streams and the gate label the oracle must give each
+#: command: the rule whose bound set the earliest legal cycle (the
+#: first in table order on ties), "queue" when the command issued later
+#: than every bound, "ready" when no rule's history applied.
+GATE_CASES = [
+    pytest.param(
+        # tRC = tRAS + tRP exactly, so a PRE at tRAS puts both bounds on
+        # the same cycle; the tie resolves to tRC.
+        [
+            cmd(0, "ACTIVATE", row=7),
+            cmd(TRAS, "PRECHARGE"),
+            cmd(TRAS + TRP, "ACTIVATE", row=9),
+        ],
+        [GATE_READY, "tRAS", "tRC"],
+        id="tRC-beats-tRP",
+    ),
+    pytest.param(
+        _read_pair_stream(),
+        [GATE_READY, "tRRD", GATE_QUEUE, "tCCD"],
+        id="tCCD-beats-data-bus",
+    ),
+    pytest.param(
+        [
+            cmd(0, "ACTIVATE", row=7),
+            cmd(TRAS, "PRECHARGE"),
+            cmd(TRAS + TRP, "REFRESH", bank=-1, row=TRFC_1GB),
+        ],
+        [GATE_READY, "tRAS", "tRP-before-REF"],
+        id="tRP-before-REF",
+    ),
+]
+
+
+class TestGateLabels:
+    @pytest.mark.parametrize("stream,gates", GATE_CASES)
+    def test_gate_labels(self, stream, gates):
+        oracle = ProtocolOracle(plain_config(), channels=1, refresh_enabled=False)
+        assert [oracle.check(0, c) for c in stream] == gates
+        assert oracle.clean
+        assert oracle.commands == len(stream)
+
+    @pytest.mark.parametrize(
+        "case,tied",
+        [
+            ("tRC-beats-tRP", ("tRC", "tRP")),
+            ("tCCD-beats-data-bus", ("tCCD", "data-bus")),
+        ],
+    )
+    def test_tie_cases_really_tie(self, case, tied):
+        from repro.verify.oracle import ChannelShadow, spacing_bounds
+
+        stream = next(p.values[0] for p in GATE_CASES if p.id == case)
+        config = plain_config()
+        timings = oracle_timings(config)
+        shadow = ChannelShadow(config, timings)
+        for command in stream[:-1]:
+            shadow.observe(command)
+        bounds = dict(spacing_bounds(shadow, stream[-1], timings))
+        assert bounds[tied[0]] == bounds[tied[1]] == stream[-1].cycle
 
 
 class TestStructuralRules:

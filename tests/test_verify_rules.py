@@ -42,8 +42,7 @@ VERIFY_SRC = Path(__file__).resolve().parents[1] / "src" / "repro" / "verify"
 class TestIndependence:
     def test_import_loads_no_simulator_module(self):
         """`import repro.verify` in a fresh interpreter must not load
-        repro.dram.timing, repro.obs.invariants, or any simulator
-        package at all (repro.dram's init pulls the timing model in, so
+        repro.dram.timing or any simulator package at all (repro.dram's init pulls the timing model in, so
         the only safe posture is loading none of them)."""
         code = (
             "import sys, repro.verify; "
@@ -62,7 +61,6 @@ class TestIndependence:
         ]
         assert not forbidden, f"repro.verify pulled in {forbidden}"
         assert "repro.dram.timing" not in loaded
-        assert "repro.obs.invariants" not in loaded
 
     def test_no_static_simulator_imports_in_oracle_half(self):
         """The oracle half (rules + oracle) must not even mention

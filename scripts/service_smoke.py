@@ -7,7 +7,11 @@ Exercises the real deployment path end to end, the way a tenant would:
    terminal event;
 3. submit the identical spec again — it must be served as a cache hit
    (no second simulation);
-4. ask for a graceful shutdown via SIGINT and assert a clean exit with
+4. submit a page-allocation spec (profile-based placement on an MCR
+   mode) and assert the served result equals an in-process
+   ``run_system`` of the same spec, byte for byte once serialized
+   (less the descriptive span tree the service attaches);
+5. ask for a graceful shutdown via SIGINT and assert a clean exit with
    the drain summary on stderr.
 
 Exits non-zero on any violated expectation. Run from the repo root::
@@ -17,6 +21,7 @@ Exits non-zero on any violated expectation. Run from the repo root::
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -27,10 +32,27 @@ import time
 
 sys.path.insert(0, "src")
 
+from repro.core.api import SystemSpec, run_system  # noqa: E402
+from repro.harness.store import serialize_result  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.workloads import make_trace  # noqa: E402
 
 BUDGET_S = 90
 SPEC = {"workload": "comm2", "n_requests": 120, "seed": 42}
+ALLOCATION_SPEC = {**SPEC, "mode": "4/4x/50%reg", "allocation": 0.2}
+
+
+def canonical_json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def in_process_result(spec: dict) -> dict:
+    """``spec`` run by ``run_system`` in this process, serialized."""
+    trace = make_trace(spec["workload"], n_requests=spec["n_requests"], seed=spec["seed"])
+    result = run_system(
+        [trace], spec["mode"], spec=SystemSpec(allocation=spec["allocation"])
+    )
+    return serialize_result(result)
 
 
 def free_port() -> int:
@@ -106,6 +128,25 @@ def main() -> int:
         cache = client.cache_stats()["cache"]
         assert cache["writes"] == 1, cache
         print(f"duplicate served from cache (writes={cache['writes']})")
+
+        # Page allocation through the service: the served result must be
+        # exactly what the library computes in process.
+        submitted = client.submit(ALLOCATION_SPEC)
+        kinds = [event["event"] for event in client.events(submitted["job_id"])]
+        assert kinds[-1] == "finished", kinds
+        served = client.result(submitted["job_id"])["result"]
+        # The telemetry-plane span tree is host-time annotation, never a
+        # measurement (RunResult.trace); everything else must match.
+        assert served["trace"], "served result lacks its span tree"
+        measured = canonical_json({**served, "trace": None})
+        expected = in_process_result(ALLOCATION_SPEC)
+        assert measured == canonical_json(expected), (
+            "served page-allocation result differs from in-process run_system"
+        )
+        print(
+            f"page-allocation spec matches in-process run "
+            f"({served['execution_cycles']} cycles)"
+        )
 
         # Graceful shutdown: SIGINT drains and exits cleanly.
         server.send_signal(signal.SIGINT)

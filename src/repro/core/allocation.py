@@ -1,6 +1,6 @@
 """OS page-allocation models: collision avoidance and profile placement.
 
-Two remappers implement the paper's Sec. 4.4:
+Three remappers implement the paper's Sec. 4.4:
 
 - :class:`CollisionFreeAllocator` — every accessed row is placed on a
   distinct MCR *base* row (clone LSBs zero), modelling an OS that only
@@ -13,9 +13,20 @@ Two remappers implement the paper's Sec. 4.4:
   placement stays within the row's original bank (the paper keeps
   channel/rank/bank/column unchanged to preserve bank-level parallelism
   and row-buffer locality).
+- :class:`CombinedProfileAllocator` — the combined 2x+4x configuration:
+  hot rows on primary MCR base rows, warm rows on secondary ones, cold
+  rows on normal rows.
 
-Both are deterministic bijections per (rank, bank) and expose a
+All are deterministic bijections per (rank, bank) and expose a
 ``(rank, bank, row) -> row`` callable for the simulator.
+
+The region layout lives only in :class:`~repro.dram.mcr.MCRGenerator`:
+its :meth:`~repro.dram.mcr.MCRGenerator.base_rows`,
+:meth:`~repro.dram.mcr.MCRGenerator.alt_base_rows` and
+:meth:`~repro.dram.mcr.MCRGenerator.normal_rows` are ascending sequences
+computed from the region starts, and each allocator zips a bank's ranked
+rows against them. Building a map costs O(footprint + sub-arrays), not a
+classification of every row of the bank.
 """
 
 from __future__ import annotations
@@ -83,12 +94,7 @@ class CollisionFreeAllocator(_BaseRemapper):
         super().__init__()
         if not mode.enabled:
             return
-        generator = MCRGenerator(geometry, mode)
-        base_rows = [
-            row
-            for row in _region_base_rows(geometry, mode)
-            if generator.is_mcr_row(row)
-        ]
+        base_rows = MCRGenerator(geometry, mode).base_rows()
         for key, rows in _accessed_rows_per_bank(traces, geometry).items():
             if len(rows) > len(base_rows):
                 raise ValueError(
@@ -119,20 +125,12 @@ class ProfileAllocator(_BaseRemapper):
         super().__init__()
         if not 0.0 <= allocation_ratio <= 1.0:
             raise ValueError("allocation_ratio must be within [0, 1]")
+        self.hot_rows_placed = 0
         if not mode.enabled or allocation_ratio == 0.0:
             return
         generator = MCRGenerator(geometry, mode)
-        base_rows = [
-            row
-            for row in _region_base_rows(geometry, mode)
-            if generator.is_mcr_row(row)
-        ]
-        normal_rows = [
-            row
-            for row in range(geometry.rows_per_bank)
-            if not generator.is_mcr_row(row)
-        ]
-        self.hot_rows_placed = 0
+        base_rows = generator.base_rows()
+        normal_rows = generator.normal_rows()
         for key, rows in _accessed_rows_per_bank(traces, geometry).items():
             hot_count = min(round(len(rows) * allocation_ratio), len(base_rows))
             mapping: dict[int, int] = {}
@@ -146,35 +144,6 @@ class ProfileAllocator(_BaseRemapper):
                 )
             mapping.update(zip(cold, normal_rows))
             self._maps[key] = mapping
-
-
-def _region_base_rows(geometry: DRAMGeometry, mode: MCRModeConfig) -> list[int]:
-    """MCR base rows (clone LSBs zero) walking sub-arrays in order."""
-    sub = geometry.rows_per_subarray
-    region_start = round(sub * (1.0 - mode.region_fraction))
-    rows: list[int] = []
-    for subarray in range(geometry.subarrays_per_bank):
-        origin = subarray * sub
-        for local in range(region_start, sub, mode.k):
-            rows.append(origin + local)
-    return rows
-
-
-def _alt_region_base_rows(geometry: DRAMGeometry, mode: MCRModeConfig) -> list[int]:
-    """Base rows of the secondary (combined-mode) MCR region."""
-    if not mode.has_alt_region:
-        return []
-    sub = geometry.rows_per_subarray
-    primary_start = round(sub * (1.0 - mode.region_fraction))
-    alt_start = round(
-        sub * (1.0 - mode.region_fraction - mode.alt_region_fraction)
-    )
-    rows: list[int] = []
-    for subarray in range(geometry.subarrays_per_bank):
-        origin = subarray * sub
-        for local in range(alt_start, primary_start, mode.alt_k):
-            rows.append(origin + local)
-    return rows
 
 
 class CombinedProfileAllocator(_BaseRemapper):
@@ -205,13 +174,9 @@ class CombinedProfileAllocator(_BaseRemapper):
         if hot_ratio < 0 or warm_ratio < 0 or hot_ratio + warm_ratio > 1.0:
             raise ValueError("require hot_ratio, warm_ratio >= 0 summing to <= 1")
         generator = MCRGenerator(geometry, mode)
-        primary_rows = _region_base_rows(geometry, mode)
-        alt_rows = _alt_region_base_rows(geometry, mode)
-        normal_rows = [
-            row
-            for row in range(geometry.rows_per_bank)
-            if not generator.is_mcr_row(row)
-        ]
+        primary_rows = generator.base_rows()
+        alt_rows = generator.alt_base_rows()
+        normal_rows = generator.normal_rows()
         for key, rows in _accessed_rows_per_bank(traces, geometry).items():
             hot_count = min(round(len(rows) * hot_ratio), len(primary_rows))
             warm_count = min(round(len(rows) * warm_ratio), len(alt_rows))

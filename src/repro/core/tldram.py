@@ -117,16 +117,8 @@ class TLDRAMAllocator:
             raise ValueError("allocation_ratio must be within [0, 1]")
         self._maps: dict[tuple[int, int], dict[int, int]] = {}
         generator = MCRGenerator(geometry, config.region_mode())
-        near_rows = [
-            row
-            for row in range(geometry.rows_per_bank)
-            if generator.is_mcr_row(row)
-        ]
-        far_rows = [
-            row
-            for row in range(geometry.rows_per_bank)
-            if not generator.is_mcr_row(row)
-        ]
+        near_rows = generator.region_rows()
+        far_rows = generator.normal_rows()
         for key, rows in _accessed_rows_per_bank(list(traces), geometry).items():
             hot_count = min(round(len(rows) * allocation_ratio), len(near_rows))
             mapping: dict[int, int] = {}

@@ -18,6 +18,7 @@ forced-LSB encoding selects exactly the K clone rows and nothing else.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
@@ -211,14 +212,19 @@ class MCRGenerator:
         self.geometry = geometry
         self.mode = mode
         self._local_bits = log2_int(geometry.rows_per_subarray)
-        # First sub-array-local row index that belongs to the (primary)
-        # MCR region. For L in {100, 75, 50, 25}% this lands on a 1-2 bit
-        # MSB compare, exactly the cheap detector the paper describes.
-        self._region_start = round(
+        # The region layout: every other view of it (the row classifier,
+        # the row sequences the page allocators fill) derives from these
+        # two sub-array-local indices.
+        #: First sub-array-local row index of the (primary) MCR region.
+        #: For L in {100, 75, 50, 25}% this lands on a 1-2 bit MSB
+        #: compare, exactly the cheap detector the paper describes.
+        self.region_start = round(
             geometry.rows_per_subarray * (1.0 - mode.region_fraction)
         )
-        # The secondary (alt) region sits just below the primary one.
-        self._alt_region_start = round(
+        #: First local index of the secondary (alt) region, which sits
+        #: just below the primary one (``region_start`` when there is
+        #: none: its fraction is then 0).
+        self.alt_region_start = round(
             geometry.rows_per_subarray
             * (1.0 - mode.region_fraction - mode.alt_region_fraction)
         )
@@ -233,15 +239,45 @@ class MCRGenerator:
         if not self.mode.enabled:
             return RowClass.NORMAL
         local = self.local_index(row)
-        if local >= self._region_start:
+        if local >= self.region_start:
             return RowClass.MCR
-        if self.mode.has_alt_region and local >= self._alt_region_start:
+        if self.mode.has_alt_region and local >= self.alt_region_start:
             return RowClass.MCR_ALT
         return RowClass.NORMAL
 
     def is_mcr_row(self, row: int) -> bool:
         """MCR detector: does this row belong to any MCR?"""
         return self.row_class(row) is not RowClass.NORMAL
+
+    def _rows(self, start: int, stop: int, step: int = 1) -> "SubarrayRows":
+        return SubarrayRows(
+            range(start, stop, step),
+            self.geometry.rows_per_subarray,
+            self.geometry.subarrays_per_bank,
+        )
+
+    # A mode that is off has no region (``region_start`` is the sub-array
+    # height), and one without a secondary region has ``alt_region_start
+    # == region_start``, so these views need no special cases.
+
+    def base_rows(self) -> "SubarrayRows":
+        """Base rows (clone LSBs zero) of the primary region's MCRs,
+        ascending: the rows a page allocator hands out for Kx pages."""
+        return self._rows(
+            self.region_start, self.geometry.rows_per_subarray, self.mode.k
+        )
+
+    def alt_base_rows(self) -> "SubarrayRows":
+        """Base rows of the secondary (combined-mode) region's MCRs."""
+        return self._rows(self.alt_region_start, self.region_start, self.mode.alt_k)
+
+    def region_rows(self) -> "SubarrayRows":
+        """Every row of the primary region, clones included."""
+        return self._rows(self.region_start, self.geometry.rows_per_subarray)
+
+    def normal_rows(self) -> "SubarrayRows":
+        """Every row :meth:`row_class` calls ``NORMAL``, ascending."""
+        return self._rows(0, self.alt_region_start)
 
     def _clone_bits_of(self, row: int) -> int:
         return log2_int(self.mode.k_of(self.row_class(row)))
@@ -324,3 +360,40 @@ class MCRGenerator:
             raise ValueError(
                 f"row {row} out of range [0, {self.geometry.rows_per_bank})"
             )
+
+
+class SubarrayRows(Sequence):
+    """The rows at local indices ``local`` of every sub-array of a bank.
+
+    An ascending, lazily indexed sequence: its length is computed from
+    the layout, and iterating it yields only as many rows as the
+    consumer takes, so zipping a short list of pages against it costs
+    O(pages), not O(rows per bank).
+    """
+
+    __slots__ = ("_local", "_rows_per_subarray", "_subarrays")
+
+    def __init__(self, local: range, rows_per_subarray: int, subarrays: int) -> None:
+        self._local = local
+        self._rows_per_subarray = rows_per_subarray
+        self._subarrays = subarrays
+
+    def __len__(self) -> int:
+        return len(self._local) * self._subarrays
+
+    def __getitem__(self, index: int) -> int:
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("row index out of range")
+        subarray, position = divmod(index, len(self._local))
+        return subarray * self._rows_per_subarray + self._local[position]
+
+    def __iter__(self) -> Iterator[int]:
+        local = self._local
+        for origin in range(
+            0, self._subarrays * self._rows_per_subarray, self._rows_per_subarray
+        ):
+            for offset in local:
+                yield origin + offset

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.dram.commands import Command
 from repro.dram.config import DRAMGeometry
 from repro.dram.mcr import MCRModeConfig, RowClass
+from repro.dram.refresh import WiringMethod
 from repro.dram.timing import TimingDomain
 from repro.obs.metrics import DEFAULT_QUANTILES, MetricsRegistry
 from repro.obs.profiler import RequestProfiler
@@ -218,6 +219,15 @@ class ObservabilityHub:
         # here so a plain simulation never loads repro.verify.
         self.checker = None
         if config.trace or config.invariants:
+            if domain.wiring is not WiringMethod.K_TO_N_MINUS_1_K:
+                # The oracle's tRAS/tRFC table is the paper's improved
+                # wiring; checked against it, another wiring's longer
+                # refreshes would read as violations.
+                raise ValueError(
+                    "the protocol oracle models only the "
+                    f"{WiringMethod.K_TO_N_MINUS_1_K.name} refresh wiring; "
+                    f"cannot trace or check a {domain.wiring.name} run"
+                )
             from repro.verify.oracle import ProtocolOracle
 
             self.checker = ProtocolOracle(

@@ -1,11 +1,20 @@
 """Tests for the OS page-allocation remappers."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
-from repro.core.allocation import CollisionFreeAllocator, ProfileAllocator
-from repro.dram.config import single_core_geometry
+from repro.core.allocation import (
+    CollisionFreeAllocator,
+    CombinedProfileAllocator,
+    ProfileAllocator,
+)
+from repro.core.tldram import TLDRAMAllocator, TLDRAMConfig
+from repro.dram.config import DRAMGeometry, single_core_geometry
 from repro.dram.mcr import MCRGenerator, MCRModeConfig
 from repro.workloads import make_trace
+from tests import reference_allocation as reference
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +92,12 @@ class TestProfileAllocator:
     def test_ratio_zero_is_identity(self, geometry, trace):
         allocator = ProfileAllocator([trace], geometry, mode_50(), 0.0)
         assert allocator.mapped_count() == 0
+        assert allocator.hot_rows_placed == 0
+
+    def test_mode_off_is_identity(self, geometry, trace):
+        allocator = ProfileAllocator([trace], geometry, MCRModeConfig.off(), 0.3)
+        assert allocator.mapped_count() == 0
+        assert allocator.hot_rows_placed == 0
 
     def test_hot_count_tracks_ratio(self, geometry, trace):
         mode = mode_50()
@@ -120,3 +135,178 @@ class TestProfileAllocator:
     def test_validates_ratio(self, geometry, trace):
         with pytest.raises(ValueError):
             ProfileAllocator([trace], geometry, mode_50(), 1.5)
+
+
+# ----------------------------------------------------------------------
+# Equivalence with the per-row-scan reference builders
+# ----------------------------------------------------------------------
+
+# With 32-row sub-arrays a bank's footprint spans many sub-arrays, so the
+# sequences are compared across sub-array boundaries, not only in the
+# first sub-array.
+GEOMETRIES = {
+    "512-row sub-arrays": single_core_geometry(),
+    "256-row sub-arrays": replace(single_core_geometry(), rows_per_subarray=256),
+    "32-row sub-arrays": replace(single_core_geometry(), rows_per_subarray=32),
+}
+
+PURE_MODES = [
+    MCRModeConfig(k=k, m=k, region_fraction=region)
+    for k in (2, 4)
+    for region in (0.25, 0.5, 0.75, 1.0)
+]
+
+COMBINED_MODES = [
+    MCRModeConfig.combined(),
+    MCRModeConfig.combined(k=4, alt_k=2, region_fraction=0.5, alt_region_fraction=0.5),
+    MCRModeConfig.combined(k=2, alt_k=4, region_fraction=0.5, alt_region_fraction=0.25),
+    MCRModeConfig.combined(k=4, alt_k=4, region_fraction=0.25, alt_region_fraction=0.25),
+]
+
+RATIOS = (0.1, 0.3, 0.5, 1.0)
+COMBINED_RATIOS = ((0.1, 0.3), (0.2, 0.2), (0.3, 0.7), (0.5, 0.0), (0.0, 0.5))
+
+
+@pytest.fixture(scope="module")
+def traces():
+    return [make_trace("comm2", 3000, 11), make_trace("leslie", 2000, 5)]
+
+
+def outcome(build):
+    """A builder's map, or the message of the ValueError it raised."""
+    try:
+        result = build()
+    except ValueError as exc:
+        return ("raised", str(exc))
+    return ("maps", result if isinstance(result, dict) else result._maps)
+
+
+def mode_id(mode):
+    return mode.label()
+
+
+@pytest.mark.parametrize("geometry_name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("mode", PURE_MODES + COMBINED_MODES, ids=mode_id)
+class TestMatchesPerRowScan:
+    def test_profile_allocator(self, geometry_name, mode, traces):
+        geometry = GEOMETRIES[geometry_name]
+        for ratio in RATIOS:
+            got = outcome(lambda: ProfileAllocator(traces, geometry, mode, ratio))
+            want = outcome(lambda: reference.profile_maps(traces, geometry, mode, ratio))
+            assert got == want, ratio
+
+    def test_collision_free_allocator(self, geometry_name, mode, traces):
+        geometry = GEOMETRIES[geometry_name]
+        got = outcome(lambda: CollisionFreeAllocator(traces, geometry, mode))
+        want = outcome(lambda: reference.collision_free_maps(traces, geometry, mode))
+        assert got == want
+
+
+@pytest.mark.parametrize("geometry_name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("mode", COMBINED_MODES, ids=mode_id)
+def test_combined_allocator_matches_per_row_scan(geometry_name, mode, traces):
+    geometry = GEOMETRIES[geometry_name]
+    for hot, warm in COMBINED_RATIOS:
+        got = outcome(lambda: CombinedProfileAllocator(traces, geometry, mode, hot, warm))
+        want = outcome(
+            lambda: reference.combined_maps(traces, geometry, mode, hot, warm)
+        )
+        assert got == want, (hot, warm)
+
+
+@pytest.mark.parametrize("geometry_name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("near_fraction", (0.25, 0.5))
+def test_tldram_allocator_matches_per_row_scan(geometry_name, near_fraction, traces):
+    geometry = GEOMETRIES[geometry_name]
+    config = TLDRAMConfig(near_fraction=near_fraction)
+    for ratio in RATIOS:
+        got = outcome(lambda: TLDRAMAllocator(traces, geometry, config, ratio))
+        want = outcome(lambda: reference.tldram_maps(traces, geometry, config, ratio))
+        assert got == want, ratio
+
+
+def test_maps_are_nonempty_where_expected(geometry, traces):
+    """The equivalence sweep compares real placements, not two empty
+    maps or two identical errors."""
+    assert ProfileAllocator(traces, geometry, mode_50(), 0.3).mapped_count() > 0
+    assert CollisionFreeAllocator(traces, geometry, mode_100()).mapped_count() > 0
+    combined = CombinedProfileAllocator(
+        traces, geometry, MCRModeConfig.combined(), 0.1, 0.3
+    )
+    assert combined.mapped_count() > 0
+
+
+class TestCapacityErrors:
+    def test_footprint_exceeds_mcr_page_capacity(self):
+        # Four 512-row sub-arrays whose 1/64 region holds 2 base rows each.
+        geometry = DRAMGeometry(rows_per_bank=2048)
+        mode = MCRModeConfig(k=4, m=4, region_fraction=1 / 64)
+        traces = [make_trace("tigr", 3000, 1, geometry=geometry)]
+        with pytest.raises(ValueError) as raised:
+            reference.collision_free_maps(traces, geometry, mode)
+        message = str(raised.value)
+        assert re.fullmatch(
+            r"footprint \(\d+ rows\) exceeds MCR page capacity "
+            r"\(8 base rows\) for bank \(\d+, \d+\)",
+            message,
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CollisionFreeAllocator(traces, geometry, mode)
+
+    def test_cold_footprint_exceeds_normal_rows(self, geometry, traces):
+        mode = mode_100()
+        with pytest.raises(ValueError) as raised:
+            reference.profile_maps(traces, geometry, mode, 0.5)
+        message = str(raised.value)
+        assert re.fullmatch(
+            r"cold footprint \(\d+\) exceeds normal rows \(0\) for bank \(\d+, \d+\)",
+            message,
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProfileAllocator(traces, geometry, mode, 0.5)
+
+    def test_combined_cold_footprint_exceeds_normal_rows(self, geometry, traces):
+        mode = MCRModeConfig.combined(region_fraction=0.5, alt_region_fraction=0.5)
+        with pytest.raises(ValueError) as raised:
+            reference.combined_maps(traces, geometry, mode, 0.1, 0.1)
+        message = str(raised.value)
+        assert re.fullmatch(
+            r"cold footprint \(\d+\) exceeds normal rows for \(\d+, \d+\)", message
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CombinedProfileAllocator(traces, geometry, mode, 0.1, 0.1)
+
+
+class TestNoPerRowClassification:
+    """Building an allocator zips ranked rows against the generator's
+    region layout; it classifies no row, so an O(rows-per-bank) scan
+    cannot come back unnoticed."""
+
+    @pytest.fixture
+    def classified(self, monkeypatch):
+        calls = []
+        row_class = MCRGenerator.row_class
+
+        def counting(self, row):
+            calls.append(row)
+            return row_class(self, row)
+
+        monkeypatch.setattr(MCRGenerator, "row_class", counting)
+        return calls
+
+    def test_guard_counts_classifications(self, classified, geometry, traces):
+        reference.profile_maps(traces, geometry, mode_50(), 0.2)
+        assert len(classified) >= geometry.rows_per_bank
+
+    def test_profile_allocator(self, classified, geometry, traces):
+        ProfileAllocator(traces, geometry, mode_50(), 0.2)
+        assert classified == []
+
+    def test_collision_free_allocator(self, classified, geometry, traces):
+        CollisionFreeAllocator(traces, geometry, mode_50())
+        assert classified == []
+
+    def test_combined_allocator(self, classified, geometry, traces):
+        mode = MCRModeConfig.combined(region_fraction=0.5, alt_region_fraction=0.25)
+        CombinedProfileAllocator(traces, geometry, mode, 0.1, 0.3)
+        assert classified == []

@@ -1,5 +1,7 @@
 """Tests for MCR mode config and the MCR generator."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -161,3 +163,53 @@ class TestClonesStayInRegion:
             gen = make_gen(geometry, k=4, m=4, region=region)
             if gen.is_mcr_row(row):
                 assert all(gen.is_mcr_row(c) for c in gen.clone_rows(row))
+
+
+class TestRegionLayoutViews:
+    """The row sequences derived from the region starts agree with the
+    per-row classifier on every row of a bank."""
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            MCRModeConfig.off(),
+            MCRModeConfig(k=2, m=2, region_fraction=0.25),
+            MCRModeConfig(k=4, m=4, region_fraction=0.75),
+            MCRModeConfig(k=4, m=2, region_fraction=1.0),
+            MCRModeConfig.combined(),
+            MCRModeConfig.combined(
+                k=2, alt_k=4, region_fraction=0.5, alt_region_fraction=0.5
+            ),
+        ],
+        ids=lambda mode: mode.label(),
+    )
+    @pytest.mark.parametrize("rows_per_subarray", (256, 512))
+    def test_views_match_row_class(self, mode, rows_per_subarray):
+        geometry = replace(
+            single_core_geometry(), rows_per_bank=4096, rows_per_subarray=rows_per_subarray
+        )
+        gen = MCRGenerator(geometry, mode)
+        by_class = {cls: [] for cls in RowClass}
+        for row in range(geometry.rows_per_bank):
+            by_class[gen.row_class(row)].append(row)
+
+        def base(rows):
+            return [row for row in rows if gen.clone_index(row) == 0]
+
+        assert list(gen.normal_rows()) == by_class[RowClass.NORMAL]
+        assert list(gen.region_rows()) == by_class[RowClass.MCR]
+        assert list(gen.base_rows()) == base(by_class[RowClass.MCR])
+        assert list(gen.alt_base_rows()) == base(by_class[RowClass.MCR_ALT])
+        for view in (gen.normal_rows(), gen.base_rows(), gen.alt_base_rows()):
+            assert len(view) == len(list(view))
+
+    def test_sequence_indexing(self, geometry):
+        rows = make_gen(geometry, k=4, region=0.5).base_rows()
+        listed = list(rows)
+        assert len(rows) == len(listed) == geometry.rows_per_bank // 8
+        assert rows[0] == listed[0] == 256
+        assert rows[-1] == listed[-1] == geometry.rows_per_bank - 4
+        assert [rows[i] for i in range(0, len(rows), 97)] == listed[::97]
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                rows[index]

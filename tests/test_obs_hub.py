@@ -9,6 +9,7 @@ import pytest
 from repro.core.api import SystemSpec
 from repro.core.mcr_mode import MCRMode
 from repro.dram.config import single_core_geometry
+from repro.dram.refresh import WiringMethod
 from repro.dram.timing import TimingDomain
 from repro.obs import ObservabilityConfig, ObservabilityHub, observe_run
 from repro.verify.generator import (
@@ -167,6 +168,27 @@ class TestOracleAdapter:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "config",
+        [ObservabilityConfig(invariants=True), ObservabilityConfig(trace=True)],
+        ids=["invariants", "trace"],
+    )
+    def test_refuses_wiring_it_does_not_model(self, config):
+        """The oracle restates the paper wiring's timing table; checking a
+        K-to-K run against it would report false tRFC violations."""
+        trace = make_trace("comm2", n_requests=200, seed=3)
+        spec = SystemSpec(wiring=WiringMethod.K_TO_K)
+        with pytest.raises(ValueError, match="refresh wiring.*K_TO_K run"):
+            observe_run([trace], "4/4x/100%reg", spec=spec, config=config)
+
+    def test_paper_wiring_is_checked_clean(self):
+        trace = make_trace("comm2", n_requests=200, seed=3)
+        _, hub = observe_run(
+            [trace], "4/4x/100%reg", config=ObservabilityConfig(invariants=True)
+        )
+        assert hub.checker is not None
+        assert hub.clean
 
     def test_finalize_runs_refresh_audit_without_registry(self):
         """finalize closes the oracle's end-of-run audit even when no
